@@ -39,7 +39,7 @@ from .core import (
     save_problem,
 )
 from .gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
-from .precond import PrecondOperator, apply_inverse, assemble_precond
+from .precond import apply_inverse, assemble_precond
 from .randgen import GenSpec, haar_orthogonal, random_problem, sample_beta
 from .spectral import (
     SpectralReport,
@@ -61,7 +61,6 @@ __all__ = [
     "KktSystem",
     "LinearOperator",
     "NumericalError",
-    "PrecondOperator",
     "SaddleProblem",
     "SpectralReport",
     "admm_gmres_solve",

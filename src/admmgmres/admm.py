@@ -1,18 +1,21 @@
 """Fixed-parameter ADMM on the saddle-point KKT system.
 
-For a fixed penalty beta > 0 the three update steps are linear, so the
-sweep is an affine fixed-point map u -> G(beta) u + b(beta).  The two
-sub-solves reuse Cholesky factorizations of D + beta A'A and B'B that are
-computed once per (problem, beta) pair; varying beta mid-run is
-deliberately unsupported.
+For a fixed penalty beta > 0 the three update steps (local solve, global
+solve, multiplier update) are linear, so the sweep is the affine
+fixed-point map u -> G(beta) u + b(beta) with G = P^{-1} (P - M), and one
+sweep is exactly u + P^{-1} (r - M u).  The sweep therefore applies the
+preconditioner through :func:`admmgmres.precond.apply_inverse`, which
+reuses the Cholesky factorizations of D + beta A'A and B'B computed once
+per (problem, beta) pair; varying beta mid-run is deliberately
+unsupported.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .core import Iterate, NumericalError, kkt_residual
+from .core import NumericalError, check_beta, kkt_matvec
+from .precond import apply_inverse
 
 __all__ = [
     "AdmmEngine",
@@ -60,9 +63,7 @@ class IterationTrace:
 
 def make_engine(problem, beta):
     """Factor the two sub-solve operators for a fixed beta > 0."""
-    beta = float(beta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = check_beta(beta)
     A, B, D = problem.A, problem.B, problem.D
     try:
         local = np.linalg.cholesky(D + beta * (A.T @ A))
@@ -80,22 +81,11 @@ def make_engine(problem, beta):
     return AdmmEngine(problem, beta, local, glob)
 
 
-def _chol_solve(L, b):
-    return sla.cho_solve((L, True), b)
-
-
 def admm_step(engine, u):
-    """One ADMM sweep: local solve, global solve, multiplier update."""
-    p, beta = engine.problem, engine.beta
-    A, B = p.A, p.B
-    x, z, y = u.x, u.z, u.y
-
-    w = B @ z - p.r_y + y / beta
-    x_new = _chol_solve(engine.local_factor, p.r_x - beta * (A.T @ w))
-    v = A @ x_new - p.r_y + y / beta
-    z_new = _chol_solve(engine.global_factor, p.r_z / beta - B.T @ v)
-    y_new = y + beta * (A @ x_new + B @ z_new - p.r_y)
-    return Iterate(x_new, z_new, y_new)
+    """One ADMM sweep of the Iterate ``u``: u + P^{-1} (r - M u)."""
+    p = engine.problem
+    v = u.vector()
+    return p.split_vector(v + apply_inverse(engine, p.rhs() - kkt_matvec(p, v)))
 
 
 def affine_offset(engine):
@@ -110,32 +100,44 @@ def convergence_threshold(initial_residual, epsilon, rhs_norm):
     epsilon * ||r|| so that a warm start at (or numerically at) the solution
     terminates immediately instead of chasing roundoff.  For the standard
     zero initial iterate both references coincide (||M*0 - r|| = ||r||).
+    A non-finite initial residual raises :class:`NumericalError`: the test
+    eps * max(inf, inf) would otherwise pass at once.
     """
+    if not np.isfinite(initial_residual):
+        raise NumericalError(
+            f"non-finite initial KKT residual {initial_residual}; "
+            "the starting iterate is not finite"
+        )
     return epsilon * max(initial_residual, rhs_norm)
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     """Iterate ADMM until the KKT residual drops by epsilon, or max_iter.
 
-    The true residual ||M u_k - r|| is recorded at every iterate including
-    u0; at desk scale this costs a few extra mat-vecs per sweep.
+    The loop runs on stacked vectors and keeps one residual s = r - M u per
+    iterate: its norm is the recorded true residual ||M u_k - r|| (u0
+    included) and the next sweep is u + P^{-1} s, so monitoring costs no
+    extra mat-vec.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     problem = engine.problem
-    u = problem.zero_iterate() if u0 is None else u0.copy()
+    u0 = problem.zero_iterate() if u0 is None else u0
+    r = problem.rhs()
 
-    rhs_norm = float(np.linalg.norm(problem.rhs()))
-    res = kkt_residual(problem, u)
-    threshold = convergence_threshold(res, epsilon, rhs_norm)
+    s = r - kkt_matvec(problem, u0)
+    u = u0.vector()
+    res = float(np.linalg.norm(s))
+    threshold = convergence_threshold(res, epsilon, float(np.linalg.norm(r)))
     residuals = [res]
     converged = res <= threshold
     k = 0
     while not converged and k < max_iter:
-        u = admm_step(engine, u)
-        res = kkt_residual(problem, u)
+        u = u + apply_inverse(engine, s)
+        s = r - kkt_matvec(problem, u)
+        res = float(np.linalg.norm(s))
         if not np.isfinite(res):
             raise NumericalError(
                 f"non-finite KKT residual at iteration {k + 1}; "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .admm import admm_solve, make_engine
 from .bounds import curve_to_csv, theorem_curve
-from .core import NumericalError, load_problem, save_problem
+from .core import NumericalError, check_beta, load_problem, save_problem
 from .gmres import admm_gmres_solve
 from .randgen import GenSpec, random_problem, sample_beta
 from .spectral import classify_and_verify, conditioning_factors, dtilde_extremes
@@ -87,17 +87,14 @@ def _resolve_beta(problem, text):
         return math.sqrt(m * ell)
     if text.startswith("random:"):
         return sample_beta(int(text.split(":", 1)[1]))
-    beta = float(text)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return beta
+    return check_beta(text)
 
 
 def _run_method(problem, method, beta, epsilon, max_iter):
     if method == "admm":
         return admm_solve(make_engine(problem, beta), epsilon=epsilon, max_iter=max_iter)
     side = method.split("-", 1)[1]
-    return admm_gmres_solve(problem, beta, side, epsilon=epsilon)
+    return admm_gmres_solve(problem, beta, side, epsilon=epsilon, max_iter=max_iter)
 
 
 def _trace_csv(trace):
@@ -227,7 +224,9 @@ def _scaling_rows(args):
                         make_engine(problem, beta), epsilon=args.eps, max_iter=args.max_iter
                     )
                 else:
-                    trace = admm_gmres_solve(problem, beta, "right", epsilon=args.eps)
+                    trace = admm_gmres_solve(
+                        problem, beta, "right", epsilon=args.eps, max_iter=args.max_iter
+                    )
                 denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
                 row.update(
                     iterations=trace.iterations,

@@ -42,6 +42,14 @@ class NumericalError(RuntimeError):
     """A factorization or solve failed numerically (singular or non-finite)."""
 
 
+def check_beta(beta):
+    """Return the penalty as a float; raise unless it is finite and positive."""
+    beta = float(beta)
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    return beta
+
+
 def _as_matrix(name, value, rows, cols):
     m = np.array(value, dtype=float)
     if m.ndim != 2 or m.shape != (rows, cols):
@@ -94,6 +102,17 @@ class SaddleProblem:
         if not 1 <= nz <= ny:
             raise ValueError(f"need 1 <= nz <= ny, got nz={nz}, ny={ny}")
         D = _as_matrix("D", D, nx, nx)
+        r_x = _as_vector("r_x", r_x, nx)
+        r_z = _as_vector("r_z", r_z, nz)
+        r_y = _as_vector("r_y", r_y, ny)
+        # Reject inf/NaN before the SVDs below, which would fail opaquely.
+        for name, block in {"A": A, "B": B, "D": D, "r_x": r_x, "r_z": r_z, "r_y": r_y}.items():
+            bad = np.flatnonzero(~np.isfinite(block))
+            if bad.size:
+                raise ValueError(
+                    f"block {name} has non-finite entry {block.flat[bad[0]]} "
+                    f"at flat index {bad[0]}"
+                )
 
         # Symmetrize D; warn only when the deviation is above roundoff scale.
         dev = np.max(np.abs(D - D.T))
@@ -128,10 +147,8 @@ class SaddleProblem:
         self.A = A
         self.B = B
         self.D = D
-        self.r_x = _as_vector("r_x", r_x, nx)
-        self.r_z = _as_vector("r_z", r_z, nz)
-        self.r_y = _as_vector("r_y", r_y, ny)
-        for arr in (self.A, self.B, self.D, self.r_x, self.r_z, self.r_y):
+        self.r_x, self.r_z, self.r_y = r_x, r_z, r_y
+        for arr in (A, B, D, r_x, r_z, r_y):
             arr.setflags(write=False)
 
     @property
@@ -160,13 +177,7 @@ class SaddleProblem:
 
     def split_vector(self, u):
         """Split a stacked vector into an Iterate, checking the length."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValueError(
-                f"stacked iterate must have length {self.dim}, got shape {u.shape}"
-            )
-        nx, nz = self.nx, self.nz
-        return Iterate(u[:nx].copy(), u[nx : nx + nz].copy(), u[nx + nz :].copy())
+        return Iterate(*(part.copy() for part in _stacked_parts(self, u)))
 
     def __repr__(self):
         return f"SaddleProblem(nx={self.nx}, ny={self.ny}, nz={self.nz})"
@@ -212,6 +223,17 @@ def assemble_kkt(problem):
     return KktSystem(M, problem.rhs())
 
 
+def _stacked_parts(problem, u):
+    """Views (x, z, y) into a stacked vector, checking its length."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (problem.dim,):
+        raise ValueError(
+            f"stacked iterate must have length {problem.dim}, got shape {u.shape}"
+        )
+    nx, nz = problem.nx, problem.nz
+    return u[:nx], u[nx : nx + nz], u[nx + nz :]
+
+
 def _iterate_parts(problem, u):
     """Blocks (x, z, y) of an Iterate or stacked vector, with checked sizes."""
     if isinstance(u, Iterate):
@@ -226,8 +248,7 @@ def _iterate_parts(problem, u):
                     f"got shape {np.shape(part)}"
                 )
         return u.x, u.z, u.y
-    it = problem.split_vector(u)
-    return it.x, it.z, it.y
+    return _stacked_parts(problem, u)
 
 
 def kkt_matvec(problem, u):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .admm import IterationTrace, convergence_threshold, make_engine
 from .core import NumericalError, kkt_matvec, kkt_residual
-from .precond import PrecondOperator, apply_forward, apply_inverse
+from .precond import apply_forward, apply_inverse
 
 __all__ = ["LinearOperator", "GmresResult", "gmres", "admm_gmres_solve"]
 
@@ -175,7 +175,6 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
     engine = make_engine(problem, beta)
-    pre = PrecondOperator(engine)
     u0 = problem.zero_iterate() if u0 is None else u0
     u0_vec = u0.vector()
     r = problem.rhs()
@@ -197,20 +196,20 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     residuals = [res0]
 
     if side == "left":
-        op = LinearOperator(problem.dim, lambda v: apply_inverse(pre, kkt_matvec(problem, v)))
-        rhs = apply_inverse(pre, r)
+        op = LinearOperator(problem.dim, lambda v: apply_inverse(engine, kkt_matvec(problem, v)))
+        rhs = apply_inverse(engine, r)
         start = u0_vec
 
         def to_iterate(vec):
             return vec
 
     else:
-        op = LinearOperator(problem.dim, lambda v: kkt_matvec(problem, apply_inverse(pre, v)))
+        op = LinearOperator(problem.dim, lambda v: kkt_matvec(problem, apply_inverse(engine, v)))
         rhs = r
-        start = apply_forward(pre, u0_vec)
+        start = apply_forward(engine, u0_vec)
 
         def to_iterate(vec):
-            return apply_inverse(pre, vec)
+            return apply_inverse(engine, vec)
 
     def monitor(k, xk):
         res = float(np.linalg.norm(kkt_matvec(problem, to_iterate(xk)) - r))

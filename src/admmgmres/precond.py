@@ -1,4 +1,10 @@
-"""The ADMM preconditioner P(beta) and its matrix-free inverse.
+"""The ADMM preconditioner P(beta): the one affine map behind every solver.
+
+At a fixed penalty ADMM is the fixed-point iteration u -> G u + b with
+G = I - P^{-1} M = P^{-1} (P - M), so one sweep is exactly u + P^{-1} (r - M u).
+:func:`apply_inverse` is the only code that applies P^{-1}: the ADMM sweep,
+both GMRES variants and the spectral module's explicit G all go through it.
+Every function here takes an :class:`~admmgmres.admm.AdmmEngine`.
 
 P(beta) factors as a unit upper-triangular augmentation times the block
 lower-triangular sweep operator,
@@ -7,55 +13,35 @@ lower-triangular sweep operator,
         [0  I  -beta B'] * [beta B'A      beta B'B       0    ]
         [0  0      I   ]   [A                 B      -(1/beta) I]
 
-so applying P^{-1} is exactly one augmentation plus one ADMM sweep and
-reuses the engine's Cholesky factors.  The ADMM iteration matrix satisfies
-G = I - P^{-1} M.  Explicit assembly is provided for verification only and
-is guarded to small dimensions; the production path is matrix-free.
+so applying P^{-1} is one augmentation plus one forward sweep.  Explicit
+assembly is provided for verification only and is guarded to small
+dimensions; the production path is matrix-free.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = [
-    "PrecondOperator",
-    "apply_inverse",
-    "apply_forward",
-    "assemble_precond",
-    "augmentation_factor",
-    "block_lower_factor",
-]
+__all__ = ["apply_inverse", "apply_forward", "assemble_precond"]
 
 _DENSE_GUARD = 400
 
 
-class PrecondOperator:
-    """Matrix-free preconditioner bound to one :class:`AdmmEngine`."""
-
-    def __init__(self, engine):
-        self.engine = engine
-        self._explicit = None
-
-    @property
-    def dim(self):
-        return self.engine.problem.dim
-
-
 def _split(problem, v):
+    """Row blocks of a stacked vector or of a (dim, k) block of them."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (problem.dim,):
+    if v.ndim not in (1, 2) or v.shape[0] != problem.dim:
         raise ValueError(f"vector must have length {problem.dim}, got shape {v.shape}")
     nx, nz = problem.nx, problem.nz
     return v[:nx], v[nx : nx + nz], v[nx + nz :]
 
 
-def apply_inverse(op, v):
-    """Compute P(beta)^{-1} v factor by factor.
+def apply_inverse(engine, v):
+    """Compute P(beta)^{-1} v factor by factor; ``v`` may be a (dim, k) block.
 
     First the augmentation factor is inverted (adds +beta A' v3 to the x
     block and +beta B' v3 to the z block), then the block lower factor is
     forward-solved with the engine's factorizations.
     """
-    engine = op.engine
     p, beta = engine.problem, engine.beta
     A, B = p.A, p.B
     v1, v2, v3 = _split(p, v)
@@ -69,9 +55,8 @@ def apply_inverse(op, v):
     return np.concatenate([x, z, y])
 
 
-def apply_forward(op, v):
+def apply_forward(engine, v):
     """Compute P(beta) v via the two factors, without assembling P."""
-    engine = op.engine
     p, beta = engine.problem, engine.beta
     A, B, D = p.A, p.B, p.D
     v1, v2, v3 = _split(p, v)
@@ -83,54 +68,24 @@ def apply_forward(op, v):
     return np.concatenate([t1 - beta * (A.T @ t3), t2 - beta * (B.T @ t3), t3])
 
 
-def _check_guard(problem):
-    if problem.dim > _DENSE_GUARD:
+def assemble_precond(engine):
+    """Explicit dense P(beta), refused above total dimension 400.
+
+    The spectral module's dense constructions all assemble P first, so this
+    is the one place that enforces the guard.
+    """
+    p, beta = engine.problem, engine.beta
+    if p.dim > _DENSE_GUARD:
         raise ValueError(
-            f"explicit assembly is limited to total dimension {_DENSE_GUARD}, "
-            f"got {problem.dim}"
+            f"explicit dense constructions are limited to total dimension "
+            f"{_DENSE_GUARD}, got {p.dim}"
         )
-
-
-def assemble_precond(op):
-    """Explicit dense P(beta); cached, and guarded to small dimensions."""
-    if op._explicit is not None:
-        return op._explicit
-    p, beta = op.engine.problem, op.engine.beta
-    _check_guard(p)
-    A, B, D = p.A, p.B, p.D
-    nx, nz, ny = p.nx, p.nz, p.ny
-    P = np.block(
-        [
-            [D, -beta * (A.T @ B), A.T],
-            [np.zeros((nz, nx)), np.zeros((nz, nz)), B.T],
-            [A, B, -(1.0 / beta) * np.eye(ny)],
-        ]
-    )
-    op._explicit = P
-    return P
-
-
-def augmentation_factor(op):
-    """Explicit unit upper-triangular augmentation factor of P(beta)."""
-    p, beta = op.engine.problem, op.engine.beta
-    _check_guard(p)
-    nx, nz, ny = p.nx, p.nz, p.ny
-    U = np.eye(p.dim)
-    U[:nx, nx + nz :] = -beta * p.A.T
-    U[nx : nx + nz, nx + nz :] = -beta * p.B.T
-    return U
-
-
-def block_lower_factor(op):
-    """Explicit block lower-triangular sweep factor of P(beta)."""
-    p, beta = op.engine.problem, op.engine.beta
-    _check_guard(p)
     A, B, D = p.A, p.B, p.D
     nx, nz, ny = p.nx, p.nz, p.ny
     return np.block(
         [
-            [D + beta * (A.T @ A), np.zeros((nx, nz)), np.zeros((nx, ny))],
-            [beta * (B.T @ A), beta * (B.T @ B), np.zeros((nz, ny))],
+            [D, -beta * (A.T @ B), A.T],
+            [np.zeros((nz, nx)), np.zeros((nz, nz)), B.T],
             [A, B, -(1.0 / beta) * np.eye(ny)],
         ]
     )

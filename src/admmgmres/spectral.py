@@ -6,8 +6,12 @@ ADMM-GMRES, eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.
 
+G(beta) = P^{-1} (P - M) comes from the same
+:func:`admmgmres.precond.apply_inverse` that runs the ADMM sweep.
+
 Everything here is dense and intended for verification at desk scale; the
-explicit constructions are guarded to total dimension 400.
+explicit constructions are guarded to total dimension 400 by
+:func:`admmgmres.precond.assemble_precond`.
 """
 
 import json
@@ -18,8 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .admm import make_engine
-from .core import assemble_kkt
-from .precond import PrecondOperator, assemble_precond
+from .core import assemble_kkt, check_beta
+from .precond import apply_inverse, assemble_precond
 
 __all__ = [
     "SchurPieces",
@@ -34,8 +38,6 @@ __all__ = [
     "complex_disk_radius",
     "eigvec_condition",
 ]
-
-_DENSE_GUARD = 400
 
 # Eigenvalues are treated as purely real below this imaginary-part level;
 # dense nonsymmetric eigensolvers return imaginary dust of roughly this size.
@@ -99,9 +101,7 @@ def _qr_complement(B):
 
 
 def schur_pieces(problem, beta):
-    beta = float(beta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = check_beta(beta)
     nx, nz, ny = problem.nx, problem.nz, problem.ny
     Q, P, R = _qr_complement(problem.B)
     dim = problem.dim
@@ -120,37 +120,14 @@ def schur_pieces(problem, beta):
 
 
 def build_iteration_matrix(problem, beta):
-    """Explicit dense ADMM iteration matrix G(beta), for verification.
+    """Explicit dense ADMM iteration matrix G(beta) = P^{-1} (P - M).
 
-    One sweep maps u to G u + b with
-    G = L^{-1} N, where L is the block lower sweep factor and N collects
-    the lagged couplings; computed with a single dense solve.
+    One sweep maps u to G u + b.  P - M is nonzero only in the z and y
+    columns, so the x columns of G come out exactly zero (the sweep never
+    reads x) and, unlike I - P^{-1} M, nothing cancels.
     """
-    beta = float(beta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if problem.dim > _DENSE_GUARD:
-        raise ValueError(
-            f"explicit iteration matrix is limited to total dimension "
-            f"{_DENSE_GUARD}, got {problem.dim}"
-        )
-    A, B, D = problem.A, problem.B, problem.D
-    nx, nz, ny = problem.nx, problem.nz, problem.ny
-    L = np.block(
-        [
-            [D + beta * (A.T @ A), np.zeros((nx, nz)), np.zeros((nx, ny))],
-            [beta * (B.T @ A), beta * (B.T @ B), np.zeros((nz, ny))],
-            [A, B, -(1.0 / beta) * np.eye(ny)],
-        ]
-    )
-    N = np.block(
-        [
-            [np.zeros((nx, nx)), -beta * (A.T @ B), -A.T],
-            [np.zeros((nz, nx)), np.zeros((nz, nz)), -B.T],
-            [np.zeros((ny, nx)), np.zeros((ny, nz)), -(1.0 / beta) * np.eye(ny)],
-        ]
-    )
-    return np.linalg.solve(L, N)
+    engine = make_engine(problem, beta)
+    return apply_inverse(engine, assemble_precond(engine) - assemble_kkt(problem).M)
 
 
 @dataclass
@@ -174,9 +151,7 @@ def build_k_matrix(problem, beta):
     (beta^{-1} Dt + I)^{-1} - (beta Dt^{-1} + I)^{-1} of Dt = (A D^{-1} A')^{-1},
     evaluated through the eigendecomposition of A D^{-1} A'.
     """
-    beta = float(beta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = check_beta(beta)
     w, V = _dtilde_eig(problem)
     # Eigenvalues of Kt are (beta*w - 1)/(beta*w + 1) for w = 1/d.
     f = (beta * w - 1.0) / (beta * w + 1.0)
@@ -364,7 +339,7 @@ def _enclosure_ok(eigs, regime, gamma, kappa, k_norm, nz, ny):
 
 def classify_and_verify(problem, beta):
     """Full spectral report: extremes, regime, eigenvalue enclosure, factors."""
-    beta = float(beta)
+    beta = check_beta(beta)
     m, ell, kappa = dtilde_extremes(problem)
     gamma = max(beta / m, ell / beta)
     blocks = build_k_matrix(problem, beta)
@@ -397,23 +372,17 @@ def conditioning_factors(problem, beta):
     eigenvector conditioning of K (None if numerically singular), kappa_M
     that of the KKT matrix.  Guarded to total dimension 400.
     """
-    if problem.dim > _DENSE_GUARD:
-        raise ValueError(
-            f"conditioning factors are limited to total dimension "
-            f"{_DENSE_GUARD}, got {problem.dim}"
-        )
-    beta = float(beta)
-    pieces = schur_pieces(problem, beta)
-    G = build_iteration_matrix(problem, beta)
+    engine = make_engine(problem, beta)
+    P = assemble_precond(engine)
+    M = assemble_kkt(problem).M
+    G = apply_inverse(engine, P - M)
+    pieces = schur_pieces(problem, engine.beta)
     g_norm = np.linalg.norm(G, 2)
     c1 = float(np.linalg.norm(pieces.S, 2) * np.linalg.norm(np.linalg.inv(pieces.S), 2) * g_norm**2)
-
-    P = assemble_precond(PrecondOperator(make_engine(problem, beta)))
     kappa_P = float(np.linalg.cond(P, 2))
 
-    blocks = build_k_matrix(problem, beta)
+    blocks = build_k_matrix(problem, engine.beta)
     kappa_X = eigvec_condition(blocks.K, problem.nz)
 
-    M = assemble_kkt(problem).M
     kappa_M = float(np.linalg.cond(M, 2))
     return c1, kappa_P, kappa_X, kappa_M

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from admmgmres.admm import admm_solve, admm_step, affine_offset, make_engine
-from admmgmres.core import SaddleProblem, direct_solve, kkt_residual
-from admmgmres.spectral import build_iteration_matrix, conditioning_factors, dtilde_extremes
+from admmgmres.core import NumericalError, SaddleProblem, direct_solve, kkt_residual
+from admmgmres.gmres import admm_gmres_solve
+from admmgmres.spectral import (
+    build_iteration_matrix,
+    build_k_matrix,
+    conditioning_factors,
+    dtilde_extremes,
+    schur_pieces,
+)
 from conftest import extremes_problem, random_dims, seeded_problem
 
 
@@ -36,10 +43,10 @@ class TestEngine:
         assert err_g <= 1e-10 * np.linalg.norm(glob)
 
     def test_rejects_bad_beta(self, problem42):
-        with pytest.raises(ValueError, match="beta"):
-            make_engine(problem42, 0.0)
-        with pytest.raises(ValueError, match="beta"):
-            make_engine(problem42, -2.0)
+        for entry in (make_engine, schur_pieces, build_k_matrix, build_iteration_matrix):
+            for beta in (0.0, -2.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="beta"):
+                    entry(problem42, beta)
 
 
 class TestStep:
@@ -162,6 +169,17 @@ class TestSolve:
         assert not trace.converged
         assert trace.iterations == 3
         assert len(trace.residuals) == 4
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    def test_non_finite_warm_start_raises(self, problem42, method):
+        # an inf start must not pass the relative test eps * max(inf, inf)
+        u0 = problem42.zero_iterate()
+        u0.y[0] = math.inf
+        with pytest.raises(NumericalError, match="non-finite initial"):
+            if method == "admm":
+                admm_solve(make_engine(problem42, 1.0), u0=u0)
+            else:
+                admm_gmres_solve(problem42, 1.0, method, u0=u0)
 
     def test_parameter_validation(self, problem42):
         eng = make_engine(problem42, 1.0)

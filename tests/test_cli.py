@@ -86,9 +86,32 @@ class TestSolve:
     def test_unreadable_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
-    def test_invalid_beta(self, problem_file):
+    def test_invalid_beta(self, problem_file, capsys):
         assert main(["solve", str(problem_file), "--beta", "-1"]) == 2
         assert main(["solve", str(problem_file), "--beta", "grmbl"]) == 2
+        assert main(["solve", str(problem_file), "--beta", "inf"]) == 2
+        assert "beta" in capsys.readouterr().err.splitlines()[-1]
+
+    def test_non_finite_data_names_block(self, tmp_path, problem_file, capsys):
+        # inf in rx once made solve report converged=True with a NaN residual
+        data = json.loads(problem_file.read_text(encoding="utf-8"))
+        data["rx"][1] = math.inf
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", str(bad), "--out-prefix", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "block r_x" in err and "index 1" in err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_max_iter_reaches_gmres(self, tmp_path):
+        path = tmp_path / "p.json"
+        assert main(gen_args(path, nx=30, ny=20, nz=8, s=0.6, seed=7)) == 0
+        prefix = tmp_path / "gm"
+        assert main(["solve", str(path), "--method", "gmres-right", "--beta", "1",
+                     "--max-iter", "1", "--out-prefix", str(prefix)]) == 0
+        record = json.loads((tmp_path / "gm.json").read_text(encoding="utf-8"))
+        assert record["iterations"] == 1
+        assert record["converged"] is False
 
 
 class TestSpectrum:
@@ -158,6 +181,14 @@ class TestScaling:
             assert row["status"] == "ok"
             ref = float(row["seventeen_sqrt_kappa"])
             assert ref == pytest.approx(17.0 * math.sqrt(float(row["kappa"])), rel=1e-12)
+
+    def test_max_iter_caps_both_methods(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--count", "3", "--dim-max", "8", "--seed", "2",
+                     "--max-iter", "1", "-o", str(out)]) == 0
+        rows = list(csv.DictReader(open(out, encoding="utf-8")))
+        assert {row["method"] for row in rows} == {"admm", "admm-gmres-right"}
+        assert all(row["iterations"] == "1" for row in rows)
 
     def test_reference_column_present(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,0 +1,70 @@
+"""Hypothesis properties of the one affine map behind the sweep, P^{-1} and G.
+
+Inputs range over shapes 1 <= nz <= ny <= nx <= 12, spreads s in [0, 1]
+and penalties log-uniform over [1e-4 m, 1e4 ell].  Relative errors are
+bounded by 1e3 eps kappa_P, a wide multiple of what a backward-stable
+solve with P(beta) promises; observed worst cases stay near 10 eps kappa_P.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from admmgmres.admm import admm_step, affine_offset, make_engine
+from admmgmres.precond import apply_inverse, assemble_precond
+from admmgmres.randgen import GenSpec, random_problem
+from admmgmres.spectral import build_iteration_matrix, dtilde_extremes
+
+TOL = 1e3 * np.finfo(float).eps
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def cases(draw):
+    """A random problem, a penalty across its whole range, and a seed for vectors."""
+    nx = draw(st.integers(1, 12))
+    ny = draw(st.integers(1, nx))
+    nz = draw(st.integers(1, ny))
+    s = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    problem = random_problem(GenSpec(nx=nx, ny=ny, nz=nz, s=s, seed=seed))
+    m, ell, _ = dtilde_extremes(problem)
+    lo, hi = math.log(1e-4 * m), math.log(1e4 * ell)
+    beta = math.exp(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    return problem, beta, np.random.default_rng(seed)
+
+
+@PROPERTY
+@given(cases())
+def test_sweep_is_the_affine_map(case):
+    problem, beta, rng = case
+    engine = make_engine(problem, beta)
+    kappa_p = np.linalg.cond(assemble_precond(engine), 2)
+    G = build_iteration_matrix(problem, beta)
+    b = affine_offset(engine).vector()
+    u = rng.standard_normal(problem.dim)
+    stepped = admm_step(engine, problem.split_vector(u)).vector()
+    expected = G @ u + b
+    assert np.linalg.norm(stepped - expected) <= TOL * kappa_p * np.linalg.norm(expected)
+
+
+@PROPERTY
+@given(cases())
+def test_apply_inverse_undoes_p(case):
+    problem, beta, rng = case
+    engine = make_engine(problem, beta)
+    P = assemble_precond(engine)
+    w = rng.standard_normal(problem.dim)
+    back = apply_inverse(engine, P @ w)
+    assert np.linalg.norm(back - w) <= TOL * np.linalg.cond(P, 2) * np.linalg.norm(w)
+
+
+@PROPERTY
+@given(cases())
+def test_sweep_never_reads_x(case):
+    problem, beta, _ = case
+    G = build_iteration_matrix(problem, beta)
+    assert not np.any(G[:, : problem.nx])
