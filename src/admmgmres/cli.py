@@ -26,10 +26,10 @@ import numpy as np
 
 from .admm import admm_solve, make_engine
 from .bounds import curve_to_csv, theorem_curve
-from .core import NumericalError, check_beta, load_problem, save_problem
+from .core import NumericalError, check_beta, load_problem, problem_from_dict, save_problem
 from .gmres import admm_gmres_solve
 from .randgen import GenSpec, random_problem, sample_beta
-from .spectral import classify_and_verify, conditioning_factors, dtilde_extremes
+from .spectral import classify_and_verify, dtilde_extremes
 
 SCHEMA_VERSION = 1
 
@@ -97,6 +97,11 @@ def _run_method(problem, method, beta, epsilon, max_iter):
     return admm_gmres_solve(problem, beta, side, epsilon=epsilon, max_iter=max_iter)
 
 
+def _final_rel_residual(trace):
+    denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
+    return float(trace.residuals[-1] / denom)
+
+
 def _trace_csv(trace):
     denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
     lines = ["k,rel_residual"]
@@ -118,14 +123,17 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    problem = load_problem(args.problem)
     raw = json.loads(Path(args.problem).read_text(encoding="utf-8"))
+    problem = problem_from_dict(raw)
     provenance = raw.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError(
+            f"problem file field 'provenance' must be an object, got {type(provenance).__name__}"
+        )
     beta = _resolve_beta(problem, args.beta)
     trace = _run_method(problem, args.method, beta, args.eps, args.max_iter)
 
     _, _, kappa = dtilde_extremes(problem)
-    denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
     record = RunRecord(
         problem_id=Path(args.problem).stem,
         nx=problem.nx,
@@ -138,7 +146,7 @@ def cmd_solve(args):
         kappa=kappa,
         iterations=trace.iterations,
         converged=trace.converged,
-        final_rel_residual=float(trace.residuals[-1] / denom),
+        final_rel_residual=_final_rel_residual(trace),
     )
 
     prefix = args.out_prefix or str(Path(args.problem).with_suffix("")) + f".{args.method}"
@@ -175,9 +183,9 @@ def cmd_spectrum(args):
 def cmd_bounds(args):
     problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
-    m, ell, _ = dtilde_extremes(problem)
-    factors = conditioning_factors(problem, beta)
-    curve = theorem_curve(args.kind, args.k_max, beta, m, ell, factors, args.eps)
+    report = classify_and_verify(problem, beta)
+    factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)
+    curve = theorem_curve(args.kind, args.k_max, beta, report.m, report.ell, factors, args.eps)
     text = curve_to_csv(curve)
     if args.output:
         _write_text(args.output, text)
@@ -185,6 +193,12 @@ def cmd_bounds(args):
     else:
         print(text, end="")
     return 0
+
+
+def _failed(exc):
+    """Result columns of a run that raised ``exc``."""
+    return dict(iterations=0, converged=False, final_rel_residual=float("nan"),
+                status=f"failed:{type(exc).__name__}")
 
 
 def _scaling_rows(args):
@@ -205,42 +219,23 @@ def _scaling_rows(args):
             problem = random_problem(GenSpec(nx=nx, ny=ny, nz=nz, s=s, seed=problem_seed))
             m, ell, kappa = dtilde_extremes(problem)
         except (ValueError, NumericalError) as exc:
-            for method in ("admm", "admm-gmres-right"):
-                rows.append({**base, "method": method, "beta": float("nan"),
-                             "kappa": float("nan"), "iterations": 0,
-                             "converged": False, "final_rel_residual": float("nan"),
-                             "status": f"failed:{type(exc).__name__}"})
+            for column in ("admm", "admm-gmres-right"):
+                rows.append({**base, "method": column, "beta": float("nan"),
+                             "kappa": float("nan"), **_failed(exc)})
             continue
 
         runs = (
-            ("admm", math.sqrt(m * ell)),
-            ("admm-gmres-right", sample_beta(beta_seed)),
+            ("admm", "admm", math.sqrt(m * ell)),
+            ("admm-gmres-right", "gmres-right", sample_beta(beta_seed)),
         )
-        for method, beta in runs:
-            row = {**base, "method": method, "beta": beta, "kappa": kappa}
+        for column, method, beta in runs:
+            row = {**base, "method": column, "beta": beta, "kappa": kappa}
             try:
-                if method == "admm":
-                    trace = admm_solve(
-                        make_engine(problem, beta), epsilon=args.eps, max_iter=args.max_iter
-                    )
-                else:
-                    trace = admm_gmres_solve(
-                        problem, beta, "right", epsilon=args.eps, max_iter=args.max_iter
-                    )
-                denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
-                row.update(
-                    iterations=trace.iterations,
-                    converged=trace.converged,
-                    final_rel_residual=float(trace.residuals[-1] / denom),
-                    status="ok",
-                )
+                trace = _run_method(problem, method, beta, args.eps, args.max_iter)
+                row.update(iterations=trace.iterations, converged=trace.converged,
+                           final_rel_residual=_final_rel_residual(trace), status="ok")
             except (ValueError, NumericalError) as exc:
-                row.update(
-                    iterations=0,
-                    converged=False,
-                    final_rel_residual=float("nan"),
-                    status=f"failed:{type(exc).__name__}",
-                )
+                row.update(_failed(exc))
             rows.append(row)
     return rows
 

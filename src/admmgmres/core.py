@@ -309,17 +309,32 @@ def problem_to_dict(problem):
     }
 
 
-def problem_from_dict(data):
+def _field(data, name, read):
+    """``read(data[name])``; a missing or unreadable field is a ValueError naming it."""
+    if name not in data:
+        raise ValueError(f"problem file is missing field {name!r}")
     try:
-        nx, ny, nz = int(data["nx"]), int(data["ny"]), int(data["nz"])
-        A = np.asarray(data["A"], dtype=float).reshape(ny, nx)
-        B = np.asarray(data["B"], dtype=float).reshape(ny, nz)
-        D = np.asarray(data["D"], dtype=float).reshape(nx, nx)
-        r_x = np.asarray(data["rx"], dtype=float)
-        r_z = np.asarray(data["rz"], dtype=float)
-        r_y = np.asarray(data["ry"], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"problem file is missing field {exc}") from exc
+        return read(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"problem file field {name!r}: {exc}") from exc
+
+
+def _dimension(value):
+    if type(value) is not int or value < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return value
+
+
+def problem_from_dict(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"problem file must hold a JSON object, got {type(data).__name__}")
+    nx, ny, nz = (_field(data, name, _dimension) for name in ("nx", "ny", "nz"))
+    A = _field(data, "A", lambda v: np.asarray(v, dtype=float).reshape(ny, nx))
+    B = _field(data, "B", lambda v: np.asarray(v, dtype=float).reshape(ny, nz))
+    D = _field(data, "D", lambda v: np.asarray(v, dtype=float).reshape(nx, nx))
+    r_x, r_z, r_y = (
+        _field(data, name, lambda v: np.asarray(v, dtype=float)) for name in ("rx", "rz", "ry")
+    )
     return SaddleProblem(A, B, D, r_x, r_z, r_y)
 
 

@@ -8,6 +8,9 @@ convergence-bound evaluators.
 
 G(beta) = P^{-1} (P - M) comes from the same
 :func:`admmgmres.precond.apply_inverse` that runs the ADMM sweep.
+:func:`classify_and_verify` forms each piece of a report once, with c1 in
+closed form from the singular values of B; :func:`conditioning_factors`
+returns the factor part of that report.
 
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
@@ -15,7 +18,7 @@ explicit constructions are guarded to total dimension 400 by
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -135,7 +138,8 @@ class KernelBlocks:
     """The inner kernel K(beta) and its J-symmetric blocks.
 
     K = [[X, Z], [-Z', Y]] with X (nz x nz), Y ((ny-nz) x (ny-nz)) and
-    Z (nz x (ny-nz)); J K is symmetric for J = blkdiag(I, -I).
+    Z (nz x (ny-nz)); J K is symmetric for J = blkdiag(I, -I).  X, Y and
+    Z are slices of K, so writing to one writes to K.
     """
 
     K: np.ndarray
@@ -144,28 +148,26 @@ class KernelBlocks:
     Z: np.ndarray
 
 
-def build_k_matrix(problem, beta):
-    """Assemble the ny x ny kernel K(beta) from the QR pieces of B.
+def _kernel(beta, w, V, Q, P):
+    """K = [Q'; -P'] Kt [Q P] from the eigenpairs (w, V) of A D^{-1} A'.
 
-    K = [Q'; -P'] Kt [Q P] where Kt is the symmetric contrast
-    (beta^{-1} Dt + I)^{-1} - (beta Dt^{-1} + I)^{-1} of Dt = (A D^{-1} A')^{-1},
-    evaluated through the eigendecomposition of A D^{-1} A'.
+    Kt is the symmetric contrast (beta^{-1} Dt + I)^{-1} - (beta Dt^{-1} + I)^{-1}
+    of Dt = (A D^{-1} A')^{-1}, whose eigenvalues are (beta*w - 1)/(beta*w + 1).
     """
-    beta = check_beta(beta)
-    w, V = _dtilde_eig(problem)
-    # Eigenvalues of Kt are (beta*w - 1)/(beta*w + 1) for w = 1/d.
     f = (beta * w - 1.0) / (beta * w + 1.0)
     Kt = (V * f) @ V.T
     Kt = 0.5 * (Kt + Kt.T)
+    return np.vstack([Q.T, -P.T]) @ Kt @ np.hstack([Q, P])
 
+
+def build_k_matrix(problem, beta):
+    """Assemble the ny x ny kernel K(beta) and its blocks from the QR pieces of B."""
+    beta = check_beta(beta)
+    w, V = _dtilde_eig(problem)
     Q, P, _ = _qr_complement(problem.B)
-    left = np.vstack([Q.T, -P.T])
-    right = np.hstack([Q, P])
-    K = left @ Kt @ right
-    X = Q.T @ Kt @ Q
-    Z = Q.T @ Kt @ P
-    Y = -(P.T @ Kt @ P)
-    return KernelBlocks(K=K, X=X, Y=Y, Z=Z)
+    K = _kernel(beta, w, V, Q, P)
+    nz = problem.nz
+    return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
 
 
 def _j_diag(nz, ny):
@@ -283,20 +285,8 @@ class SpectralReport:
     kappa_M: float
 
     def to_dict(self):
-        return {
-            "m": self.m,
-            "ell": self.ell,
-            "kappa": self.kappa,
-            "gamma": self.gamma,
-            "k_norm": self.k_norm,
-            "eigenvalues": [[float(v.real), float(v.imag)] for v in self.eigenvalues],
-            "regime": self.regime,
-            "enclosure_ok": self.enclosure_ok,
-            "c1": self.c1,
-            "kappa_P": self.kappa_P,
-            "kappa_X": self.kappa_X,
-            "kappa_M": self.kappa_M,
-        }
+        eigenvalues = [[float(v.real), float(v.imag)] for v in self.eigenvalues]
+        return {**asdict(self), "eigenvalues": eigenvalues}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -338,16 +328,31 @@ def _enclosure_ok(eigs, regime, gamma, kappa, k_norm, nz, ny):
 
 
 def classify_and_verify(problem, beta):
-    """Full spectral report: extremes, regime, eigenvalue enclosure, factors."""
-    beta = check_beta(beta)
-    m, ell, kappa = dtilde_extremes(problem)
+    """Full spectral report: extremes, regime, eigenvalue enclosure, factors.
+
+    One pass forms each piece once.  c1 = ||S|| ||S^{-1}|| ||G||^2 for the
+    Schur scaling S = blkdiag(beta I, beta R, I); kappa_P, kappa_M are the
+    condition numbers of P, M; kappa_X is the eigenvector conditioning of K
+    (None if numerically singular).  Guarded to total dimension 400.
+    """
+    engine = make_engine(problem, beta)
+    beta = engine.beta
+    P = assemble_precond(engine)
+    M = assemble_kkt(problem).M
+    G = apply_inverse(engine, P - M)
+
+    w, V = _dtilde_eig(problem)
+    m, ell = 1.0 / w[-1], 1.0 / w[0]
+    kappa = ell / m
     gamma = max(beta / m, ell / beta)
-    blocks = build_k_matrix(problem, beta)
-    k_norm = float(np.linalg.norm(blocks.K, 2))
-    eigs = np.linalg.eigvals(blocks.K)
+    Q, Qc, R = _qr_complement(problem.B)
+    K = _kernel(beta, w, V, Q, Qc)
+    k_norm = float(np.linalg.norm(K, 2))
+    eigs = np.linalg.eigvals(K)
     regime = classify_regime(gamma, kappa)
-    enclosure = _enclosure_ok(eigs, regime, gamma, kappa, k_norm, problem.nz, problem.ny)
-    c1, kappa_P, kappa_X, kappa_M = conditioning_factors(problem, beta)
+    # R has the singular values of B, so ||S|| ||S^{-1}|| has a closed form.
+    sigma = np.linalg.svd(R, compute_uv=False)
+    s_cond = max(beta, beta * sigma[0], 1.0) * max(1.0 / beta, 1.0 / (beta * sigma[-1]), 1.0)
     return SpectralReport(
         m=m,
         ell=ell,
@@ -356,33 +361,15 @@ def classify_and_verify(problem, beta):
         k_norm=k_norm,
         eigenvalues=eigs,
         regime=regime,
-        enclosure_ok=enclosure,
-        c1=c1,
-        kappa_P=kappa_P,
-        kappa_X=kappa_X,
-        kappa_M=kappa_M,
+        enclosure_ok=_enclosure_ok(eigs, regime, gamma, kappa, k_norm, problem.nz, problem.ny),
+        c1=float(s_cond * np.linalg.norm(G, 2) ** 2),
+        kappa_P=float(np.linalg.cond(P, 2)),
+        kappa_X=eigvec_condition(K, problem.nz),
+        kappa_M=float(np.linalg.cond(M, 2)),
     )
 
 
 def conditioning_factors(problem, beta):
-    """The factors (c1, kappa_P, kappa_X, kappa_M) entering the bounds.
-
-    c1 = ||S|| ||S^{-1}|| ||G||^2 from the block-Schur scaling, kappa_P the
-    spectral condition number of the explicit preconditioner, kappa_X the
-    eigenvector conditioning of K (None if numerically singular), kappa_M
-    that of the KKT matrix.  Guarded to total dimension 400.
-    """
-    engine = make_engine(problem, beta)
-    P = assemble_precond(engine)
-    M = assemble_kkt(problem).M
-    G = apply_inverse(engine, P - M)
-    pieces = schur_pieces(problem, engine.beta)
-    g_norm = np.linalg.norm(G, 2)
-    c1 = float(np.linalg.norm(pieces.S, 2) * np.linalg.norm(np.linalg.inv(pieces.S), 2) * g_norm**2)
-    kappa_P = float(np.linalg.cond(P, 2))
-
-    blocks = build_k_matrix(problem, engine.beta)
-    kappa_X = eigvec_condition(blocks.K, problem.nz)
-
-    kappa_M = float(np.linalg.cond(M, 2))
-    return c1, kappa_P, kappa_X, kappa_M
+    """The factors (c1, kappa_P, kappa_X, kappa_M) of :func:`classify_and_verify`."""
+    report = classify_and_verify(problem, beta)
+    return report.c1, report.kappa_P, report.kappa_X, report.kappa_M

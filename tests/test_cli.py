@@ -103,6 +103,25 @@ class TestSolve:
         assert "block r_x" in err and "index 1" in err
         assert not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: {**d, "A": {"a": 1}}, "'A'"),
+        (lambda d: [d], "JSON object"),
+        (lambda d: {**d, "nx": None}, "'nx'"),
+        (lambda d: {**d, "provenance": [1]}, "'provenance'"),
+        (lambda d: {**d, "nx": 6.5}, "'nx'"),
+    ], ids=["object-array", "top-level-list", "null-dimension", "list-provenance",
+            "float-dimension"])
+    def test_malformed_file_names_field(self, tmp_path, problem_file, capsys, edit, field):
+        # each once ended in a TypeError/AttributeError traceback or, for 6.5,
+        # was silently read as 6
+        data = json.loads(problem_file.read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(data)), encoding="utf-8")
+        assert main(["solve", str(bad), "--out-prefix", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "run.json").exists()
+
     def test_max_iter_reaches_gmres(self, tmp_path):
         path = tmp_path / "p.json"
         assert main(gen_args(path, nx=30, ny=20, nz=8, s=0.6, seed=7)) == 0

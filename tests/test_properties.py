@@ -1,9 +1,11 @@
-"""Hypothesis properties of the one affine map behind the sweep, P^{-1} and G.
+"""Hypothesis properties of the one affine map and of the spectral report.
 
 Inputs range over shapes 1 <= nz <= ny <= nx <= 12, spreads s in [0, 1]
-and penalties log-uniform over [1e-4 m, 1e4 ell].  Relative errors are
-bounded by 1e3 eps kappa_P, a wide multiple of what a backward-stable
-solve with P(beta) promises; observed worst cases stay near 10 eps kappa_P.
+and penalties log-uniform over [1e-4 m, 1e4 ell].  Relative errors of the
+map are bounded by 1e3 eps kappa_P, a wide multiple of what a
+backward-stable solve with P(beta) promises; observed worst cases stay near
+10 eps kappa_P.  The report's ||K|| and closed-form c1 are checked against
+the paper's formula and the dense block-Schur scaling.
 """
 
 import math
@@ -15,7 +17,13 @@ from hypothesis import strategies as st
 from admmgmres.admm import admm_step, affine_offset, make_engine
 from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.randgen import GenSpec, random_problem
-from admmgmres.spectral import build_iteration_matrix, dtilde_extremes
+from admmgmres.spectral import (
+    build_iteration_matrix,
+    classify_and_verify,
+    conditioning_factors,
+    dtilde_extremes,
+    schur_pieces,
+)
 
 TOL = 1e3 * np.finfo(float).eps
 
@@ -68,3 +76,33 @@ def test_sweep_never_reads_x(case):
     problem, beta, _ = case
     G = build_iteration_matrix(problem, beta)
     assert not np.any(G[:, : problem.nx])
+
+
+@PROPERTY
+@given(cases())
+def test_report_kernel_norm_and_enclosure(case):
+    problem, beta, _ = case
+    report = classify_and_verify(problem, beta)
+    expected = (report.gamma - 1.0) / (report.gamma + 1.0)
+    assert abs(report.k_norm - expected) <= 1e-8 * expected
+    assert report.enclosure_ok
+
+
+@PROPERTY
+@given(cases())
+def test_report_c1_matches_dense_schur_scaling(case):
+    problem, beta, _ = case
+    S = schur_pieces(problem, beta).S
+    g_norm = np.linalg.norm(build_iteration_matrix(problem, beta), 2)
+    dense = np.linalg.norm(S, 2) * np.linalg.norm(np.linalg.inv(S), 2) * g_norm**2
+    c1 = classify_and_verify(problem, beta).c1
+    assert abs(c1 - dense) <= 1e-12 * dense
+
+
+@PROPERTY
+@given(cases())
+def test_conditioning_factors_read_the_report(case):
+    problem, beta, _ = case
+    report = classify_and_verify(problem, beta)
+    factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)
+    assert conditioning_factors(problem, beta) == factors
