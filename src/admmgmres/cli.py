@@ -80,10 +80,13 @@ class RunRecord:
     final_rel_residual: float
 
 
-def _resolve_beta(problem, text):
-    """Parse a --beta value: a float, 'auto' (sqrt(m*ell)), or 'random:SEED'."""
+def _resolve_beta(problem, text, extremes=None):
+    """Parse a --beta value: a float, 'auto' (sqrt(m*ell)), or 'random:SEED'.
+
+    ``extremes`` is ``dtilde_extremes(problem)`` when the caller has it.
+    """
     if text == "auto":
-        m, ell, _ = dtilde_extremes(problem)
+        m, ell, _ = extremes or dtilde_extremes(problem)
         return math.sqrt(m * ell)
     if text.startswith("random:"):
         return sample_beta(int(text.split(":", 1)[1]))
@@ -130,10 +133,10 @@ def cmd_solve(args):
         raise ValueError(
             f"problem file field 'provenance' must be an object, got {type(provenance).__name__}"
         )
-    beta = _resolve_beta(problem, args.beta)
+    extremes = dtilde_extremes(problem)
+    beta = _resolve_beta(problem, args.beta, extremes)
     trace = _run_method(problem, args.method, beta, args.eps, args.max_iter)
 
-    _, _, kappa = dtilde_extremes(problem)
     record = RunRecord(
         problem_id=Path(args.problem).stem,
         nx=problem.nx,
@@ -143,7 +146,7 @@ def cmd_solve(args):
         seed=provenance.get("seed"),
         beta=beta,
         method_tag=trace.method_tag,
-        kappa=kappa,
+        kappa=extremes[2],
         iterations=trace.iterations,
         converged=trace.converged,
         final_rel_residual=_final_rel_residual(trace),

@@ -21,7 +21,7 @@ dimensions; the production path is matrix-free.
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["apply_inverse", "apply_forward", "assemble_precond"]
+__all__ = ["apply_inverse", "assemble_precond"]
 
 _DENSE_GUARD = 400
 
@@ -53,19 +53,6 @@ def apply_inverse(engine, v):
     z = sla.cho_solve((engine.global_factor, True), w2 / beta - B.T @ (A @ x))
     y = beta * (A @ x + B @ z - v3)
     return np.concatenate([x, z, y])
-
-
-def apply_forward(engine, v):
-    """Compute P(beta) v via the two factors, without assembling P."""
-    p, beta = engine.problem, engine.beta
-    A, B, D = p.A, p.B, p.D
-    v1, v2, v3 = _split(p, v)
-
-    # Block lower factor first, then the augmentation factor.
-    t1 = D @ v1 + beta * (A.T @ (A @ v1))
-    t2 = beta * (B.T @ (A @ v1)) + beta * (B.T @ (B @ v2))
-    t3 = A @ v1 + B @ v2 - v3 / beta
-    return np.concatenate([t1 - beta * (A.T @ t3), t2 - beta * (B.T @ t3), t3])
 
 
 def assemble_precond(engine):

@@ -132,6 +132,19 @@ class TestSolve:
         assert record["iterations"] == 1
         assert record["converged"] is False
 
+    def test_auto_beta_eigendecomposes_once(self, tmp_path, monkeypatch):
+        # beta = sqrt(m ell) and the record's kappa come from one A D^-1 A'
+        import admmgmres.spectral as spectral
+
+        path = tmp_path / "p.json"
+        assert main(gen_args(path, nx=20, ny=12, nz=5)) == 0
+        calls = []
+        eig = spectral._dtilde_eig
+        monkeypatch.setattr(spectral, "_dtilde_eig", lambda p: calls.append(1) or eig(p))
+        assert main(["solve", str(path), "--beta", "auto",
+                     "--out-prefix", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
+
 
 class TestSpectrum:
     def test_regime_sweep(self, tmp_path):

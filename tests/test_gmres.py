@@ -85,6 +85,19 @@ class TestAdmmGmres:
         trace = admm_gmres_solve(problem42, 1.0, "right", u0=direct_solve(problem42))
         assert trace.converged and trace.iterations == 0
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 20.0])
+    def test_warm_start_near_solution(self, problem42, side, beta):
+        # both sides solve for a correction from u0 and keep its residual
+        rng = np.random.default_rng(3)
+        exact = direct_solve(problem42).vector()
+        u0 = problem42.split_vector(exact + 1e-3 * rng.standard_normal(problem42.dim))
+        trace = admm_gmres_solve(problem42, beta, side, u0=u0, epsilon=1e-8)
+        res0 = kkt_residual(problem42, u0)
+        assert trace.converged
+        assert trace.residuals[0] == res0
+        assert trace.residuals[-1] <= 1e-8 * max(res0, np.linalg.norm(problem42.rhs()))
+
     def test_right_side_never_behind_admm(self, problem42):
         # same start and penalty: the right-preconditioned residual stays at
         # or below the plain sweep's residual at every shared iteration

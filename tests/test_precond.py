@@ -3,7 +3,7 @@ import pytest
 
 from admmgmres.admm import make_engine
 from admmgmres.core import SaddleProblem, assemble_kkt
-from admmgmres.precond import apply_forward, apply_inverse, assemble_precond
+from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.spectral import build_iteration_matrix
 from conftest import seeded_problem
 
@@ -49,13 +49,6 @@ class TestApplyInverse:
             lhs = u - apply_inverse(eng, M @ u)
             rhs = G @ u
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
-
-    def test_forward_matches_explicit(self, problem42):
-        rng = np.random.default_rng(6)
-        eng = make_engine(problem42, 0.31)
-        P = assemble_precond(eng)
-        v = rng.standard_normal(problem42.dim)
-        assert np.allclose(apply_forward(eng, v), P @ v, rtol=1e-12, atol=1e-14)
 
     def test_length_check(self, problem42):
         with pytest.raises(ValueError, match="length"):

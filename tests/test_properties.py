@@ -1,11 +1,14 @@
-"""Hypothesis properties of the one affine map and of the spectral report.
+"""Hypothesis properties of the one affine map, the spectral report and GMRES.
 
 Inputs range over shapes 1 <= nz <= ny <= nx <= 12, spreads s in [0, 1]
 and penalties log-uniform over [1e-4 m, 1e4 ell].  Relative errors of the
 map are bounded by 1e3 eps kappa_P, a wide multiple of what a
 backward-stable solve with P(beta) promises; observed worst cases stay near
 10 eps kappa_P.  The report's ||K|| and closed-form c1 are checked against
-the paper's formula and the dense block-Schur scaling.
+the paper's formula and the dense block-Schur scaling.  Right-preconditioned
+GMRES is checked against plain ADMM for penalties within two orders of
+magnitude of [m, ell], the range over which the README promises penalty
+insensitivity; further out its roundoff grows with kappa_P.
 """
 
 import math
@@ -14,7 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmgmres.admm import admm_step, affine_offset, make_engine
+from admmgmres.admm import admm_solve, admm_step, affine_offset, make_engine
+from admmgmres.gmres import admm_gmres_solve
 from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.randgen import GenSpec, random_problem
 from admmgmres.spectral import (
@@ -31,8 +35,8 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def cases(draw):
-    """A random problem, a penalty across its whole range, and a seed for vectors."""
+def cases(draw, span=1e4):
+    """A random problem, a penalty over [m / span, span * ell], and a seed for vectors."""
     nx = draw(st.integers(1, 12))
     ny = draw(st.integers(1, nx))
     nz = draw(st.integers(1, ny))
@@ -40,7 +44,7 @@ def cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     problem = random_problem(GenSpec(nx=nx, ny=ny, nz=nz, s=s, seed=seed))
     m, ell, _ = dtilde_extremes(problem)
-    lo, hi = math.log(1e-4 * m), math.log(1e4 * ell)
+    lo, hi = math.log(m / span), math.log(span * ell)
     beta = math.exp(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
     return problem, beta, np.random.default_rng(seed)
 
@@ -106,3 +110,15 @@ def test_conditioning_factors_read_the_report(case):
     report = classify_and_verify(problem, beta)
     factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)
     assert conditioning_factors(problem, beta) == factors
+
+
+@PROPERTY
+@given(cases(span=1e2))
+def test_right_gmres_never_trails_admm(case):
+    problem, beta, _ = case
+    gm = admm_gmres_solve(problem, beta, "right")
+    ad = admm_solve(make_engine(problem, beta), max_iter=max(1, gm.iterations))
+    n = min(len(gm.residuals), len(ad.residuals))
+    slack = 1e-9 * np.linalg.norm(problem.rhs())
+    assert np.all(gm.residuals[:n] <= ad.residuals[:n] + slack)
+    assert gm.converged
