@@ -80,13 +80,10 @@ class RunRecord:
     final_rel_residual: float
 
 
-def _resolve_beta(problem, text, extremes=None):
-    """Parse a --beta value: a float, 'auto' (sqrt(m*ell)), or 'random:SEED'.
-
-    ``extremes`` is ``dtilde_extremes(problem)`` when the caller has it.
-    """
+def _resolve_beta(problem, text):
+    """Parse a --beta value: a float, 'auto' (sqrt(m*ell)), or 'random:SEED'."""
     if text == "auto":
-        m, ell, _ = extremes or dtilde_extremes(problem)
+        m, ell, _ = dtilde_extremes(problem)
         return math.sqrt(m * ell)
     if text.startswith("random:"):
         return sample_beta(int(text.split(":", 1)[1]))
@@ -133,8 +130,7 @@ def cmd_solve(args):
         raise ValueError(
             f"problem file field 'provenance' must be an object, got {type(provenance).__name__}"
         )
-    extremes = dtilde_extremes(problem)
-    beta = _resolve_beta(problem, args.beta, extremes)
+    beta = _resolve_beta(problem, args.beta)
     trace = _run_method(problem, args.method, beta, args.eps, args.max_iter)
 
     record = RunRecord(
@@ -146,7 +142,7 @@ def cmd_solve(args):
         seed=provenance.get("seed"),
         beta=beta,
         method_tag=trace.method_tag,
-        kappa=extremes[2],
+        kappa=dtilde_extremes(problem)[2],
         iterations=trace.iterations,
         converged=trace.converged,
         final_rel_residual=_final_rel_residual(trace),

@@ -81,7 +81,9 @@ class SaddleProblem:
     The quadratic block D lives in the x slot and is therefore nx x nx;
     conventions that size it by ny only cover the square case nx == ny.
     Instances are frozen after construction (the arrays are marked
-    read-only) and safe to share across threads.
+    read-only and the attributes cannot be rebound) and safe to share across
+    threads; the spectral module relies on this when it reuses a problem's
+    factorizations.
     """
 
     def __init__(self, A, B, D, r_x, r_z, r_y):
@@ -144,12 +146,12 @@ class SaddleProblem:
                 f"vs largest {wd[-1]:.3e}"
             )
 
-        self.A = A
-        self.B = B
-        self.D = D
-        self.r_x, self.r_z, self.r_y = r_x, r_z, r_y
+        vars(self).update(A=A, B=B, D=D, r_x=r_x, r_z=r_z, r_y=r_y)
         for arr in (A, B, D, r_x, r_z, r_y):
             arr.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SaddleProblem is frozen; cannot set {name!r}")
 
     @property
     def nx(self):

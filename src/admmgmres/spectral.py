@@ -12,12 +12,19 @@ G(beta) = P^{-1} (P - M) comes from the same
 closed form from the singular values of B; :func:`conditioning_factors`
 returns the factor part of that report.
 
+A penalty sweep on one problem pays only for the penalty: the pieces that
+do not depend on beta (the eigenpairs of A D^{-1} A', the QR factors of B
+with the singular values of R, and cond(M)) are kept for the most recent
+problem that asked for them, each formed on first use.  Only that one
+problem is kept, by weak reference, so nothing outlives it.
+
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
 :func:`admmgmres.precond.assemble_precond`.
 """
 
 import json
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -38,7 +45,6 @@ __all__ = [
     "build_k_matrix",
     "classify_and_verify",
     "conditioning_factors",
-    "complex_disk_radius",
     "eigvec_condition",
 ]
 
@@ -49,6 +55,25 @@ _IM_RTOL = 1e-8
 # Absolute slack for enclosure membership; interval endpoints suffer
 # subtractive cancellation at large condition numbers.
 _ENCLOSURE_SLACK = 1e-7
+
+
+# (weak reference to a problem, {piece name: value}) for the most recent
+# problem.  A miss replaces the whole entry in one assignment and every call
+# keeps the dict it read, so concurrent callers never mix two problems; at
+# worst two of them form the same piece twice.
+_memo = (lambda: None, {})
+
+
+def _piece(problem, name, compute):
+    """The beta-independent piece ``name`` of ``problem``, formed on first use."""
+    global _memo
+    ref, pieces = _memo
+    if ref() is not problem:
+        pieces = {}
+        _memo = (weakref.ref(problem), pieces)
+    if name not in pieces:
+        pieces[name] = compute(problem)
+    return pieces[name]
 
 
 def _dtilde_eig(problem):
@@ -67,7 +92,7 @@ def dtilde_extremes(problem):
     m = 1 / lambda_max(A D^{-1} A'), ell = 1 / lambda_min(A D^{-1} A'),
     kappa = ell / m.
     """
-    w, _ = _dtilde_eig(problem)
+    w, _ = _piece(problem, "eig", _dtilde_eig)
     m = 1.0 / w[-1]
     ell = 1.0 / w[0]
     return m, ell, ell / m
@@ -101,6 +126,12 @@ def _qr_complement(B):
     Qfull[:, :nz] *= signs
     R = Rfull[:nz, :] * signs[:, None]
     return Qfull[:, :nz], Qfull[:, nz:], R
+
+
+def _b_factors(problem):
+    """Q and its complement from the QR factors of B, and the singular values of R."""
+    Q, Qc, R = _qr_complement(problem.B)
+    return Q, Qc, np.linalg.svd(R, compute_uv=False)
 
 
 def schur_pieces(problem, beta):
@@ -163,52 +194,11 @@ def _kernel(beta, w, V, Q, P):
 def build_k_matrix(problem, beta):
     """Assemble the ny x ny kernel K(beta) and its blocks from the QR pieces of B."""
     beta = check_beta(beta)
-    w, V = _dtilde_eig(problem)
-    Q, P, _ = _qr_complement(problem.B)
+    w, V = _piece(problem, "eig", _dtilde_eig)
+    Q, P, _ = _piece(problem, "B", _b_factors)
     K = _kernel(beta, w, V, Q, P)
     nz = problem.nz
     return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
-
-
-def _j_diag(nz, ny):
-    return np.concatenate([np.ones(nz), -np.ones(ny - nz)])
-
-
-def complex_disk_radius(K, nz, grid_step=1e-3, refine_iters=60):
-    """min over real eta of ||K + eta J||, J = blkdiag(I_nz, -I).
-
-    Evaluated on a grid over [-1, 1] followed by golden-section refinement;
-    the objective is convex in eta, so the refinement is safe.  Complex
-    eigenvalues of K lie inside the disk of this radius.
-    """
-    ny = K.shape[0]
-    Jd = _j_diag(nz, ny)
-
-    def objective(eta):
-        return np.linalg.norm(K + np.diag(eta * Jd), 2)
-
-    etas = np.arange(-1.0, 1.0 + grid_step / 2, grid_step)
-    values = [objective(e) for e in etas]
-    i = int(np.argmin(values))
-    best = values[i]
-
-    lo = etas[max(i - 1, 0)]
-    hi = etas[min(i + 1, len(etas) - 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(refine_iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = objective(d)
-    return min(best, fc, fd)
 
 
 def eigvec_condition(K, nz=None, cutoff=1e12):
@@ -221,7 +211,11 @@ def eigvec_condition(K, nz=None, cutoff=1e12):
     that symmetrizes K and is provably well conditioned in that regime.
     Returns None when every candidate exceeds ``cutoff``.
     """
-    _, X = np.linalg.eig(K)
+    return _eigvec_condition(K, np.linalg.eig(K)[1], nz, cutoff)
+
+
+def _eigvec_condition(K, X, nz, cutoff=1e12):
+    """:func:`eigvec_condition` for the eigenvector matrix X of K."""
     candidates = []
     try:
         Xi = np.linalg.inv(X)
@@ -235,7 +229,7 @@ def eigvec_condition(K, nz=None, cutoff=1e12):
             candidates.append(np.linalg.cond(X * scale[None, :]))
 
     if nz is not None and 0 < nz <= K.shape[0]:
-        J = np.diag(_j_diag(nz, K.shape[0]))
+        J = np.diag(np.concatenate([np.ones(nz), -np.ones(K.shape[0] - nz)]))
         H = J @ K
         H = 0.5 * (H + H.T)
         for sign in (1.0, -1.0):
@@ -330,28 +324,30 @@ def _enclosure_ok(eigs, regime, gamma, kappa, k_norm, nz, ny):
 def classify_and_verify(problem, beta):
     """Full spectral report: extremes, regime, eigenvalue enclosure, factors.
 
-    One pass forms each piece once.  c1 = ||S|| ||S^{-1}|| ||G||^2 for the
-    Schur scaling S = blkdiag(beta I, beta R, I); kappa_P, kappa_M are the
-    condition numbers of P, M; kappa_X is the eigenvector conditioning of K
-    (None if numerically singular).  Guarded to total dimension 400.
+    One pass forms each piece once; the pieces that do not depend on beta
+    are reused from an earlier report on the same problem.  c1 =
+    ||S|| ||S^{-1}|| ||G||^2 for the Schur scaling S = blkdiag(beta I,
+    beta R, I); kappa_P, kappa_M are the condition numbers of P, M; kappa_X
+    is the eigenvector conditioning of K (None if numerically singular).
+    Guarded to total dimension 400.
     """
     engine = make_engine(problem, beta)
     beta = engine.beta
     P = assemble_precond(engine)
     M = assemble_kkt(problem).M
-    G = apply_inverse(engine, P - M)
+    # The x columns of P - M are exact zeros, and so are those of G.
+    G = apply_inverse(engine, (P - M)[:, problem.nx :])
 
-    w, V = _dtilde_eig(problem)
+    w, V = _piece(problem, "eig", _dtilde_eig)
     m, ell = 1.0 / w[-1], 1.0 / w[0]
     kappa = ell / m
     gamma = max(beta / m, ell / beta)
-    Q, Qc, R = _qr_complement(problem.B)
+    Q, Qc, sigma = _piece(problem, "B", _b_factors)
     K = _kernel(beta, w, V, Q, Qc)
     k_norm = float(np.linalg.norm(K, 2))
-    eigs = np.linalg.eigvals(K)
+    eigs, X = np.linalg.eig(K)
     regime = classify_regime(gamma, kappa)
     # R has the singular values of B, so ||S|| ||S^{-1}|| has a closed form.
-    sigma = np.linalg.svd(R, compute_uv=False)
     s_cond = max(beta, beta * sigma[0], 1.0) * max(1.0 / beta, 1.0 / (beta * sigma[-1]), 1.0)
     return SpectralReport(
         m=m,
@@ -364,8 +360,8 @@ def classify_and_verify(problem, beta):
         enclosure_ok=_enclosure_ok(eigs, regime, gamma, kappa, k_norm, problem.nz, problem.ny),
         c1=float(s_cond * np.linalg.norm(G, 2) ** 2),
         kappa_P=float(np.linalg.cond(P, 2)),
-        kappa_X=eigvec_condition(K, problem.nz),
-        kappa_M=float(np.linalg.cond(M, 2)),
+        kappa_X=_eigvec_condition(K, X, problem.nz),
+        kappa_M=_piece(problem, "cond_M", lambda p: float(np.linalg.cond(assemble_kkt(p).M, 2))),
     )
 
 

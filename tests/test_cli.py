@@ -146,7 +146,25 @@ class TestSolve:
         assert len(calls) == 1
 
 
+def count_dtilde_eig(monkeypatch, argv):
+    """Run the CLI on ``argv``, expect exit 0, and count eigendecompositions of A D^-1 A'."""
+    import admmgmres.spectral as spectral
+
+    calls = []
+    eig = spectral._dtilde_eig
+    monkeypatch.setattr(spectral, "_dtilde_eig", lambda p: calls.append(1) or eig(p))
+    assert main(argv) == 0
+    return len(calls)
+
+
 class TestSpectrum:
+    def test_auto_beta_eigendecomposes_once(self, tmp_path, monkeypatch):
+        # beta = sqrt(m ell) and the report share one A D^-1 A'
+        path = tmp_path / "p.json"
+        assert main(gen_args(path, nx=20, ny=12, nz=5)) == 0
+        argv = ["spectrum", str(path), "--beta", "auto", "-o", str(tmp_path / "s.json")]
+        assert count_dtilde_eig(monkeypatch, argv) == 1
+
     def test_regime_sweep(self, tmp_path):
         # extremes pinned near 0.49 / 2.2: sweeping the penalty into the
         # balanced window moves the spectrum from real clusters into the
@@ -179,6 +197,14 @@ class TestSpectrum:
 
 
 class TestBounds:
+    def test_auto_beta_eigendecomposes_once(self, tmp_path, monkeypatch):
+        # beta = sqrt(m ell) and the report behind the curve share one A D^-1 A'
+        path = tmp_path / "p.json"
+        assert main(gen_args(path, nx=20, ny=12, nz=5)) == 0
+        argv = ["bounds", str(path), "--kind", "thm9", "--beta", "auto",
+                "-o", str(tmp_path / "c.csv")]
+        assert count_dtilde_eig(monkeypatch, argv) == 1
+
     def test_curve_csv(self, tmp_path, problem_file):
         out = tmp_path / "curve.csv"
         p = load_problem(problem_file)

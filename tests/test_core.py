@@ -170,6 +170,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             problem42.A[0, 0] = 5.0
 
+    def test_attributes_cannot_be_rebound(self, problem42):
+        # reports reuse a problem's factorizations, so its data must not change
+        other = seeded_problem(6, 4, 2, 0.5, 7)
+        for name in ("A", "B", "D", "r_x", "r_z", "r_y"):
+            with pytest.raises(AttributeError, match="frozen"):
+                setattr(problem42, name, getattr(other, name))
+
 
 class TestJsonFormat:
     def test_round_trip(self, tmp_path, problem42):

@@ -5,12 +5,14 @@ and penalties log-uniform over [1e-4 m, 1e4 ell].  Relative errors of the
 map are bounded by 1e3 eps kappa_P, a wide multiple of what a
 backward-stable solve with P(beta) promises; observed worst cases stay near
 10 eps kappa_P.  The report's ||K|| and closed-form c1 are checked against
-the paper's formula and the dense block-Schur scaling.  Right-preconditioned
-GMRES is checked against plain ADMM for penalties within two orders of
-magnitude of [m, ell], the range over which the README promises penalty
-insensitivity; further out its roundoff grows with kappa_P.
+the paper's formula and the dense block-Schur scaling, and a report that
+reuses its problem's beta-independent pieces equals one that does not.
+Right-preconditioned GMRES is checked against plain ADMM for penalties
+within two orders of magnitude of [m, ell], the range over which the README
+promises penalty insensitivity; further out its roundoff grows with kappa_P.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmgmres.admm import admm_solve, admm_step, affine_offset, make_engine
+from admmgmres.core import SaddleProblem
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.randgen import GenSpec, random_problem
 from admmgmres.spectral import (
+    SpectralReport,
     build_iteration_matrix,
     classify_and_verify,
     conditioning_factors,
@@ -110,6 +114,18 @@ def test_conditioning_factors_read_the_report(case):
     report = classify_and_verify(problem, beta)
     factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)
     assert conditioning_factors(problem, beta) == factors
+
+
+@PROPERTY
+@given(cases(), st.floats(-4.0, 4.0))
+def test_warm_report_equals_cold_report(case, shift):
+    problem, beta, _ = case
+    classify_and_verify(problem, beta * 10.0**shift)
+    warm = classify_and_verify(problem, beta)
+    fresh = SaddleProblem(problem.A, problem.B, problem.D, problem.r_x, problem.r_z, problem.r_y)
+    cold = classify_and_verify(fresh, beta)
+    for field in dataclasses.fields(SpectralReport):
+        assert np.array_equal(getattr(warm, field.name), getattr(cold, field.name)), field.name
 
 
 @PROPERTY

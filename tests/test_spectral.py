@@ -1,5 +1,9 @@
+import gc
 import json
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +14,48 @@ from admmgmres.spectral import (
     build_iteration_matrix,
     build_k_matrix,
     classify_and_verify,
-    complex_disk_radius,
     conditioning_factors,
     dtilde_extremes,
     eigvec_condition,
     schur_pieces,
 )
 from conftest import extremes_problem, random_dims, seeded_problem
+
+
+def complex_disk_radius(K, nz, grid_step=1e-3, refine_iters=60):
+    """min over real eta of ||K + eta J||, J = blkdiag(I_nz, -I), by brute force.
+
+    A grid over [-1, 1] followed by golden-section refinement; the objective
+    is convex in eta, so the refinement is safe.  Complex eigenvalues of K
+    lie inside the disk of this radius.
+    """
+    Jd = np.concatenate([np.ones(nz), -np.ones(K.shape[0] - nz)])
+
+    def objective(eta):
+        return np.linalg.norm(K + np.diag(eta * Jd), 2)
+
+    etas = np.arange(-1.0, 1.0 + grid_step / 2, grid_step)
+    values = [objective(e) for e in etas]
+    i = int(np.argmin(values))
+    a, b = etas[max(i - 1, 0)], etas[min(i + 1, len(etas) - 1)]
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(refine_iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = objective(d)
+    return min(values[i], fc, fd)
+
+
+def fresh_copy(p):
+    """A new problem object built from the same arrays: it shares nothing cached."""
+    return SaddleProblem(p.A, p.B, p.D, p.r_x, p.r_z, p.r_y)
 
 
 def identity_a_problem(d_eigs, nz, seed=0):
@@ -279,3 +318,67 @@ class TestConditioningFactors:
         p = seeded_problem(150, 140, 120, 0.2, 1)
         with pytest.raises(ValueError, match="dimension"):
             conditioning_factors(p, 1.0)
+
+
+class TestPerProblemReuse:
+    """A report reuses the beta-independent pieces of its problem, and only those."""
+
+    BETAS = (0.05, 1.0, 20.0)
+
+    def test_warm_equals_cold(self, problem7):
+        for beta in self.BETAS:
+            classify_and_verify(problem7, 3.0 * beta)
+            warm = classify_and_verify(problem7, beta)
+            cold = classify_and_verify(fresh_copy(problem7), beta)
+            assert warm.to_json() == cold.to_json()
+
+    def test_interleaved_problems_do_not_mix(self):
+        # same shape, different data: a mix-up would go unnoticed by shape checks
+        def readers(p, beta):
+            return (classify_and_verify(p, beta).to_json(), build_k_matrix(p, beta).K.tolist(),
+                    dtilde_extremes(p))
+
+        a, b = seeded_problem(7, 5, 3, 0.6, 1), seeded_problem(7, 5, 3, 0.6, 2)
+        cold = {(id(p), beta): readers(fresh_copy(p), beta) for p in (a, b) for beta in self.BETAS}
+        for beta in self.BETAS:
+            for p in (a, b, a):
+                assert readers(p, beta) == cold[id(p), beta]
+
+    def test_report_does_not_keep_its_problem_alive(self):
+        p = seeded_problem(7, 5, 3, 0.6, 3)
+        classify_and_verify(p, 1.0)
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_alternating_problems_get_cold_results(self):
+        # more threads than cores, switching often, each alternating two small
+        # problems so that most of the time is spent in the memo's Python code
+        problems = [seeded_problem(3, 2, 1, 0.6, seed) for seed in (4, 5)]
+        cold = [[(dtilde_extremes(q), classify_and_verify(q, beta).to_json())
+                 for beta in self.BETAS] for q in map(fresh_copy, problems)]
+        results = [[] for _ in range(4)]
+
+        def worker(index):
+            for round_ in range(600):
+                k, j = (index + round_) % 2, round_ % len(self.BETAS)
+                extremes, report = cold[k][j]
+                ok = dtilde_extremes(problems[k]) == extremes
+                if round_ % 10 == 0:  # one report in ten: the memo lookups are the stress
+                    ok = ok and classify_and_verify(problems[k], self.BETAS[j]).to_json() == report
+                results[index].append(ok)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(r) for r in results] == [600] * 4
+        assert all(all(r) for r in results)
