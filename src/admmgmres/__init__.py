@@ -11,7 +11,6 @@ from .admm import (
     IterationTrace,
     admm_solve,
     admm_step,
-    affine_offset,
     make_engine,
 )
 from .bounds import (
@@ -25,7 +24,6 @@ from .bounds import (
     two_interval_bound,
 )
 from .core import (
-    Iterate,
     KktSystem,
     NumericalError,
     SaddleProblem,
@@ -56,7 +54,6 @@ __all__ = [
     "BoundCurve",
     "GenSpec",
     "GmresResult",
-    "Iterate",
     "IterationTrace",
     "KktSystem",
     "LinearOperator",
@@ -66,7 +63,6 @@ __all__ = [
     "admm_gmres_solve",
     "admm_solve",
     "admm_step",
-    "affine_offset",
     "apply_inverse",
     "assemble_kkt",
     "assemble_precond",

@@ -22,9 +22,7 @@ __all__ = [
     "IterationTrace",
     "make_engine",
     "admm_step",
-    "affine_offset",
     "admm_solve",
-    "convergence_threshold",
 ]
 
 
@@ -50,7 +48,7 @@ class IterationTrace:
     ``residuals[k]`` is the true residual norm ||M u_k - r|| at iterate k,
     starting with the initial point, so its length is ``iterations + 1``.
     ``converged`` records the relative-to-initial residual test at the
-    tolerance ``epsilon`` (see :func:`convergence_threshold`).
+    tolerance ``epsilon`` (see :func:`admm_solve`).
     """
 
     residuals: np.ndarray
@@ -82,55 +80,48 @@ def make_engine(problem, beta):
 
 
 def admm_step(engine, u):
-    """One ADMM sweep of the Iterate ``u``: u + P^{-1} (r - M u)."""
+    """One ADMM sweep u + P^{-1} (r - M u) of the stacked vector ``u``; b = P^{-1} r from 0."""
     p = engine.problem
-    v = u.vector()
-    return p.split_vector(v + apply_inverse(engine, p.rhs() - kkt_matvec(p, v)))
+    return u + apply_inverse(engine, p.rhs() - kkt_matvec(p, u))
 
 
-def affine_offset(engine):
-    """Constant part b(beta) of the affine update, i.e. one step from zero."""
-    return admm_step(engine, engine.problem.zero_iterate())
+def _start(problem, u0, epsilon, max_iter):
+    """Checked start of a solve: (u0, r, s0 = r - M u0, ||s0||, threshold).
 
-
-def convergence_threshold(initial_residual, epsilon, rhs_norm):
-    """Residual level that counts as converged.
-
-    The test is relative to the initial residual, with an absolute floor of
+    ``u0`` is a stacked (dim,) vector, zeros by default, and is never
+    written to; ``max_iter`` may be None where the solver has its own cap.
+    Convergence is relative to the initial residual, with a floor of
     epsilon * ||r|| so that a warm start at (or numerically at) the solution
-    terminates immediately instead of chasing roundoff.  For the standard
-    zero initial iterate both references coincide (||M*0 - r|| = ||r||).
-    A non-finite initial residual raises :class:`NumericalError`: the test
-    eps * max(inf, inf) would otherwise pass at once.
-    """
-    if not np.isfinite(initial_residual):
-        raise NumericalError(
-            f"non-finite initial KKT residual {initial_residual}; "
-            "the starting iterate is not finite"
-        )
-    return epsilon * max(initial_residual, rhs_norm)
-
-
-def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
-    """Iterate ADMM until the KKT residual drops by epsilon, or max_iter.
-
-    The loop runs on stacked vectors and keeps one residual s = r - M u per
-    iterate: its norm is the recorded true residual ||M u_k - r|| (u0
-    included) and the next sweep is u + P^{-1} s, so monitoring costs no
-    extra mat-vec.
+    stops at once instead of chasing roundoff; from zero both references
+    coincide.  A non-finite initial residual raises :class:`NumericalError`,
+    since eps * max(inf, inf) would otherwise pass at once.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if max_iter < 1:
+    if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    problem = engine.problem
-    u0 = problem.zero_iterate() if u0 is None else u0
+    u0 = np.zeros(problem.dim) if u0 is None else u0
     r = problem.rhs()
+    s0 = r - kkt_matvec(problem, u0)
+    res0 = float(np.linalg.norm(s0))
+    if not np.isfinite(res0):
+        raise NumericalError(
+            f"non-finite initial KKT residual {res0}; the starting iterate is not finite"
+        )
+    return u0, r, s0, res0, epsilon * max(res0, float(np.linalg.norm(r)))
 
-    s = r - kkt_matvec(problem, u0)
-    u = u0.vector()
-    res = float(np.linalg.norm(s))
-    threshold = convergence_threshold(res, epsilon, float(np.linalg.norm(r)))
+
+def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
+    """Run ADMM sweeps from the stacked ``u0`` (zeros by default).
+
+    The loop stops once the KKT residual has dropped by ``epsilon`` (the
+    test of :func:`_start`), or after ``max_iter`` sweeps.  It keeps one
+    residual s = r - M u per iterate: its norm is the recorded true
+    residual ||M u_k - r|| (u0 included) and the next sweep is
+    u + P^{-1} s, so monitoring costs no extra mat-vec.
+    """
+    problem = engine.problem
+    u, r, s, res, threshold = _start(problem, u0, epsilon, max_iter)
     residuals = [res]
     converged = res <= threshold
     k = 0

@@ -8,6 +8,8 @@ symmetric indefinite system
     [A   B   0 ] [y]   [r_y]
 
 with D symmetric positive definite, A A' invertible and B'B invertible.
+A point (x, z, y) is one stacked vector [x; z; y] of length ``dim``
+throughout: the solvers take one as their start and direct_solve returns one.
 Everything in this package is dense and sized for desk-scale experiments
 (total dimension up to a few hundred).
 """
@@ -22,7 +24,6 @@ import scipy.linalg as sla
 __all__ = [
     "NumericalError",
     "SaddleProblem",
-    "Iterate",
     "KktSystem",
     "assemble_kkt",
     "kkt_matvec",
@@ -174,30 +175,8 @@ class SaddleProblem:
         """Stacked right-hand side [r_x; r_z; r_y]."""
         return np.concatenate([self.r_x, self.r_z, self.r_y])
 
-    def zero_iterate(self):
-        return Iterate(np.zeros(self.nx), np.zeros(self.nz), np.zeros(self.ny))
-
-    def split_vector(self, u):
-        """Split a stacked vector into an Iterate, checking the length."""
-        return Iterate(*(part.copy() for part in _stacked_parts(self, u)))
-
     def __repr__(self):
         return f"SaddleProblem(nx={self.nx}, ny={self.ny}, nz={self.nz})"
-
-
-@dataclass
-class Iterate:
-    """One point (x, z, y), stacked as [x; z; y] wherever a vector is needed."""
-
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-
-    def vector(self):
-        return np.concatenate([self.x, self.z, self.y])
-
-    def copy(self):
-        return Iterate(self.x.copy(), self.z.copy(), self.y.copy())
 
 
 @dataclass
@@ -225,37 +204,24 @@ def assemble_kkt(problem):
     return KktSystem(M, problem.rhs())
 
 
-def _stacked_parts(problem, u):
-    """Views (x, z, y) into a stacked vector, checking its length."""
+def stacked_parts(problem, u, block=False):
+    """Row blocks (x, z, y) of a stacked vector or, with ``block``, a (dim, k) block.
+
+    Single vectors must be exactly (dim,): a (dim, 1) column would broadcast
+    against the (dim,) right-hand side into a dim x dim array.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (problem.dim,):
+    if u.shape != (problem.dim,) and not (block and u.ndim == 2 and len(u) == problem.dim):
         raise ValueError(
-            f"stacked iterate must have length {problem.dim}, got shape {u.shape}"
+            f"stacked vector must have length {problem.dim}, got shape {u.shape}"
         )
     nx, nz = problem.nx, problem.nz
     return u[:nx], u[nx : nx + nz], u[nx + nz :]
 
 
-def _iterate_parts(problem, u):
-    """Blocks (x, z, y) of an Iterate or stacked vector, with checked sizes."""
-    if isinstance(u, Iterate):
-        for name, part, n in (
-            ("x", u.x, problem.nx),
-            ("z", u.z, problem.nz),
-            ("y", u.y, problem.ny),
-        ):
-            if np.shape(part) != (n,):
-                raise ValueError(
-                    f"iterate block {name} must have length {n}, "
-                    f"got shape {np.shape(part)}"
-                )
-        return u.x, u.z, u.y
-    return _stacked_parts(problem, u)
-
-
 def kkt_matvec(problem, u):
-    """Product M u computed blockwise, without assembling M."""
-    x, z, y = _iterate_parts(problem, u)
+    """Product M u of a stacked vector, computed blockwise without assembling M."""
+    x, z, y = stacked_parts(problem, u)
     A, B, D = problem.A, problem.B, problem.D
     return np.concatenate([D @ x + A.T @ y, B.T @ y, A @ x + B @ z])
 
@@ -266,7 +232,7 @@ def kkt_residual(problem, u):
 
 
 def direct_solve(problem):
-    """Solve the KKT system with a pivoted dense LU factorization.
+    """Stacked solution [x; z; y] of the KKT system by pivoted dense LU.
 
     One step of iterative refinement is always applied.  Raises
     :class:`NumericalError`, carrying a condition estimate, if the refined
@@ -289,7 +255,7 @@ def direct_solve(problem):
             f"KKT matrix is numerically singular: direct-solve residual "
             f"{res:.3e}, condition estimate {np.linalg.cond(M):.3e}"
         )
-    return problem.split_vector(u)
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ Arnoldi step orthogonalizes each new Krylov vector by two passes of
 classical Gram-Schmidt (CGS2: two projections onto the whole basis, which
 keep the basis orthogonal to working precision) and updates the
 least-squares problem with Givens rotations.  ``admm_gmres_solve`` wraps it
-for the saddle-point system: from the residual s0 = r - M u0 of the start
-u0 it solves for a correction d with the ADMM preconditioner on the right
-(M P^{-1} d = s0, u = u0 + P^{-1} d) or on the left
+for the saddle-point system: from the residual s0 = r - M u0 of the stacked
+start u0 it solves for a correction d with the ADMM preconditioner on the
+right (M P^{-1} d = s0, u = u0 + P^{-1} d) or on the left
 (P^{-1} M d = P^{-1} s0, u = u0 + d).  Either way the returned trace
 records the true KKT residual of the recovered iterate at every iteration.
 """
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .admm import IterationTrace, convergence_threshold, make_engine
+from .admm import IterationTrace, _start, make_engine
 from .core import NumericalError, kkt_matvec
 from .precond import apply_inverse
 
@@ -30,11 +30,6 @@ class LinearOperator:
 
     dim: int
     apply: Callable
-
-    @classmethod
-    def from_matrix(cls, M):
-        M = np.asarray(M, dtype=float)
-        return cls(M.shape[0], lambda v: M @ v)
 
     def __call__(self, v):
         return self.apply(v)
@@ -158,14 +153,15 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
 def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """GMRES on the ADMM-preconditioned KKT system, solved for a correction.
 
-    Both sides start from ``u0`` (zero by default) and its residual
-    s0 = r - M u0, which also sets the convergence threshold.  The right
-    side solves M P^{-1} d = s0 and recovers u = u0 + P^{-1} d; the left
-    side solves P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.  The
-    returned :class:`IterationTrace` holds the true KKT residual
+    Both sides start from the stacked vector ``u0`` (zeros by default) and
+    its residual s0 = r - M u0.  The start, ``epsilon`` and ``max_iter``
+    (by default the dimension, where full GMRES ends) are checked, and the
+    convergence threshold set, as in :func:`admmgmres.admm.admm_solve`.
+    The right side solves M P^{-1} d = s0 and recovers u = u0 + P^{-1} d;
+    the left side solves P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.
+    The returned :class:`IterationTrace` holds the true KKT residual
     ||M u_k - r|| of the recovered iterate at every GMRES iteration, and
-    that test alone stops the loop (the inner tolerance is zero), with the
-    same threshold as :func:`admmgmres.admm.admm_solve`.
+    that test alone stops the loop (the inner tolerance is zero).
 
     On the right side the true residual is the one GMRES minimizes over a
     Krylov space that holds the plain ADMM iterate, so it stays at or
@@ -180,17 +176,9 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
+    u0, r, s0, res0, threshold = _start(problem, u0, epsilon, max_iter)
+    residuals = [res0]
     engine = make_engine(problem, beta)
-    u0 = problem.zero_iterate() if u0 is None else u0
-    u0_vec = u0.vector()
-    r = problem.rhs()
-
-    s0 = r - kkt_matvec(problem, u0_vec)
-    residuals = [float(np.linalg.norm(s0))]
-    threshold = convergence_threshold(residuals[0], epsilon, float(np.linalg.norm(r)))
 
     if side == "left":
         op = LinearOperator(problem.dim, lambda v: apply_inverse(engine, kkt_matvec(problem, v)))
@@ -200,7 +188,7 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
         rhs = s0
 
     def monitor(k, dk):
-        u = u0_vec + (dk if side == "left" else apply_inverse(engine, dk))
+        u = u0 + (dk if side == "left" else apply_inverse(engine, dk))
         res = float(np.linalg.norm(kkt_matvec(problem, u) - r))
         if not np.isfinite(res):
             raise NumericalError(

@@ -21,18 +21,11 @@ dimensions; the production path is matrix-free.
 import numpy as np
 import scipy.linalg as sla
 
+from .core import stacked_parts
+
 __all__ = ["apply_inverse", "assemble_precond"]
 
 _DENSE_GUARD = 400
-
-
-def _split(problem, v):
-    """Row blocks of a stacked vector or of a (dim, k) block of them."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != problem.dim:
-        raise ValueError(f"vector must have length {problem.dim}, got shape {v.shape}")
-    nx, nz = problem.nx, problem.nz
-    return v[:nx], v[nx : nx + nz], v[nx + nz :]
 
 
 def apply_inverse(engine, v):
@@ -44,7 +37,7 @@ def apply_inverse(engine, v):
     """
     p, beta = engine.problem, engine.beta
     A, B = p.A, p.B
-    v1, v2, v3 = _split(p, v)
+    v1, v2, v3 = stacked_parts(p, v, block=True)
 
     w1 = v1 + beta * (A.T @ v3)
     w2 = v2 + beta * (B.T @ v3)

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from admmgmres.admm import admm_solve, admm_step, affine_offset, make_engine
+from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import NumericalError, SaddleProblem, direct_solve, kkt_residual
 from admmgmres.gmres import admm_gmres_solve
+from admmgmres.precond import apply_inverse
 from admmgmres.spectral import (
     build_iteration_matrix,
     build_k_matrix,
@@ -19,6 +21,13 @@ from conftest import extremes_problem, random_dims, seeded_problem
 def square_identity_problem():
     return SaddleProblem(np.eye(2), [[1.0], [1.0]], np.eye(2),
                          np.zeros(2), np.zeros(1), np.zeros(2))
+
+
+def solve_from(problem, method, u0, **kwargs):
+    """Plain ADMM or one GMRES side at beta = 1 from the stacked start ``u0``."""
+    if method == "admm":
+        return admm_solve(make_engine(problem, 1.0), u0=u0, **kwargs)
+    return admm_gmres_solve(problem, 1.0, method, u0=u0, **kwargs)
 
 
 class TestEngine:
@@ -54,42 +63,43 @@ class TestStep:
         star = direct_solve(problem42)
         eng = make_engine(problem42, 1.3)
         moved = admm_step(eng, star)
-        err = np.linalg.norm(moved.vector() - star.vector())
-        assert err <= 1e-8 * (1.0 + np.linalg.norm(star.vector()))
+        err = np.linalg.norm(moved - star)
+        assert err <= 1e-8 * (1.0 + np.linalg.norm(star))
 
     def test_zero_data_zero_iterate(self):
         p = SaddleProblem(np.eye(2), [[1.0], [1.0]], np.eye(2),
                           np.zeros(2), np.zeros(1), np.zeros(2))
-        out = admm_step(make_engine(p, 0.7), p.zero_iterate())
-        assert np.linalg.norm(out.vector()) == 0.0
+        out = admm_step(make_engine(p, 0.7), np.zeros(p.dim))
+        assert np.linalg.norm(out) == 0.0
 
     def test_matches_iteration_matrix(self, problem7):
         # one sweep equals the explicit affine map u -> G u + b
         beta = 1.0
         eng = make_engine(problem7, beta)
         G = build_iteration_matrix(problem7, beta)
-        b = affine_offset(eng).vector()
+        b = apply_inverse(eng, problem7.rhs())
         rng = np.random.default_rng(17)
         for _ in range(5):
             u = rng.standard_normal(problem7.dim)
-            stepped = admm_step(eng, problem7.split_vector(u)).vector()
+            stepped = admm_step(eng, u)
             expected = G @ u + b
             assert np.linalg.norm(stepped - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestAffineOffset:
+    # the constant part of the sweep u -> G u + b is b = P^{-1} r
     def test_zero_rhs_gives_zero(self):
         p = SaddleProblem(np.eye(3), np.ones((3, 1)), np.diag([1.0, 2.0, 3.0]),
                           np.zeros(3), np.zeros(1), np.zeros(3))
-        assert np.linalg.norm(affine_offset(make_engine(p, 2.0)).vector()) == 0.0
+        assert np.linalg.norm(apply_inverse(make_engine(p, 2.0), p.rhs())) == 0.0
 
     def test_step_is_affine(self, problem42):
         eng = make_engine(problem42, 0.9)
-        b = affine_offset(eng).vector()
+        b = apply_inverse(eng, problem42.rhs())
         rng = np.random.default_rng(5)
         u1 = rng.standard_normal(problem42.dim)
         u2 = rng.standard_normal(problem42.dim)
-        s = lambda u: admm_step(eng, problem42.split_vector(u)).vector()
+        s = lambda u: admm_step(eng, u)
         lhs = s(u1 + u2) - b
         rhs = (s(u1) - b) + (s(u2) - b)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -98,8 +108,8 @@ class TestAffineOffset:
         # b = (I - G) u*
         beta = 1.0
         eng = make_engine(problem7, beta)
-        b = affine_offset(eng).vector()
-        star = direct_solve(problem7).vector()
+        b = apply_inverse(eng, problem7.rhs())
+        star = direct_solve(problem7)
         G = build_iteration_matrix(problem7, beta)
         expected = star - G @ star
         assert np.linalg.norm(b - expected) <= 1e-8 * np.linalg.norm(b)
@@ -173,13 +183,27 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["admm", "left", "right"])
     def test_non_finite_warm_start_raises(self, problem42, method):
         # an inf start must not pass the relative test eps * max(inf, inf)
-        u0 = problem42.zero_iterate()
-        u0.y[0] = math.inf
+        u0 = np.zeros(problem42.dim)
+        u0[problem42.nx + problem42.nz] = math.inf
         with pytest.raises(NumericalError, match="non-finite initial"):
-            if method == "admm":
-                admm_solve(make_engine(problem42, 1.0), u0=u0)
-            else:
-                admm_gmres_solve(problem42, 1.0, method, u0=u0)
+            solve_from(problem42, method, u0)
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    @pytest.mark.parametrize("extra", [(1,), (0, 1)], ids=["long", "column"])
+    def test_misshapen_start_raises(self, problem42, method, extra):
+        # a (dim, 1) start would broadcast r - M u0 into a dim x dim array
+        # and "converge" against the wrong initial residual
+        shape = (problem42.dim + extra[0],) + extra[1:]
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            solve_from(problem42, method, np.zeros(shape))
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    def test_start_is_not_written_to(self, problem42, method):
+        u0 = np.random.default_rng(8).standard_normal(problem42.dim)
+        before = u0.copy()
+        trace = solve_from(problem42, method, u0, epsilon=1e-8)
+        assert trace.iterations > 0
+        assert u0.tobytes() == before.tobytes()
 
     def test_parameter_validation(self, problem42):
         eng = make_engine(problem42, 1.0)
@@ -191,7 +215,7 @@ class TestSolve:
     def test_residual_monitored_on_true_system(self, problem42):
         eng = make_engine(problem42, 0.8)
         trace = admm_solve(eng, epsilon=1e-6, max_iter=50_000)
-        u = problem42.zero_iterate()
+        u = np.zeros(problem42.dim)
         for k in range(3):
             assert trace.residuals[k] == pytest.approx(kkt_residual(problem42, u), rel=1e-12)
             u = admm_step(eng, u)

@@ -122,6 +122,16 @@ class TestSolve:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("method", ["admm", "gmres-left", "gmres-right"])
+    def test_max_iter_below_one_exits_2(self, tmp_path, problem_file, capsys, method):
+        # gmres-left/right once ran one step at --max-iter 0 and exited 0
+        prefix = tmp_path / "run"
+        assert main(["solve", str(problem_file), "--method", method, "--max-iter", "0",
+                     "--out-prefix", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert "max_iter" in err and "Traceback" not in err
+        assert not (tmp_path / "run.json").exists()
+
     def test_max_iter_reaches_gmres(self, tmp_path):
         path = tmp_path / "p.json"
         assert main(gen_args(path, nx=30, ny=20, nz=8, s=0.6, seed=7)) == 0

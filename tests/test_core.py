@@ -1,10 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from admmgmres.core import (
-    Iterate,
     SaddleProblem,
     assemble_kkt,
     direct_solve,
@@ -67,7 +67,7 @@ class TestResidual:
         assert kkt_residual(problem42, u) <= 1e-10 * rnorm
 
     def test_zero_iterate(self, problem42):
-        res = kkt_residual(problem42, problem42.zero_iterate())
+        res = kkt_residual(problem42, np.zeros(problem42.dim))
         assert res == pytest.approx(np.linalg.norm(problem42.rhs()), rel=1e-15)
 
     def test_matches_matrix_form(self, problem7):
@@ -78,31 +78,34 @@ class TestResidual:
             direct = np.linalg.norm(system.M @ u - system.r)
             assert kkt_residual(problem7, u) == pytest.approx(direct, rel=1e-14)
 
-    def test_dimension_error_names_block(self, problem42):
-        bad = Iterate(np.zeros(problem42.nx + 1), np.zeros(problem42.nz), np.zeros(problem42.ny))
-        with pytest.raises(ValueError, match="block x"):
-            kkt_residual(problem42, bad)
+    @pytest.mark.parametrize("extra", [(1,), (0, 1)], ids=["long", "column"])
+    def test_rejects_misshapen_vector(self, problem42, extra):
+        # a (dim, 1) column must not broadcast against r into a dim x dim residual
+        shape = (problem42.dim + extra[0],) + extra[1:]
+        message = re.escape(f"length {problem42.dim}, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            kkt_residual(problem42, np.zeros(shape))
 
     def test_homogeneous_scaling(self, problem42):
         # residual is absolutely homogeneous in the error u - u*
         rng = np.random.default_rng(3)
-        star = direct_solve(problem42).vector()
+        star = direct_solve(problem42)
         d = rng.standard_normal(problem42.dim)
-        r1 = kkt_residual(problem42, problem42.split_vector(star + d))
-        r2 = kkt_residual(problem42, problem42.split_vector(star + 2 * d))
+        r1 = kkt_residual(problem42, star + d)
+        r2 = kkt_residual(problem42, star + 2 * d)
         assert r2 == pytest.approx(2 * r1, rel=1e-12)
 
 
 class TestDirectSolve:
     def test_hand_example(self):
-        u = direct_solve(tiny_problem())
-        assert u.x[0] == pytest.approx(0.0, abs=1e-12)
-        assert u.z[0] == pytest.approx(1.0, rel=1e-12)
-        assert u.y[0] == pytest.approx(1.0, rel=1e-12)
+        x, z, y = direct_solve(tiny_problem())
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert z == pytest.approx(1.0, rel=1e-12)
+        assert y == pytest.approx(1.0, rel=1e-12)
 
     def test_homogeneous_system(self):
         u = direct_solve(tiny_problem(r=(0.0, 0.0, 0.0)))
-        assert np.linalg.norm(u.vector()) == 0.0
+        assert np.linalg.norm(u) == 0.0
 
     def test_seed42_residual(self, problem42):
         u = direct_solve(problem42)
@@ -115,17 +118,18 @@ class TestDirectSolve:
 
         p = problem42
         u = direct_solve(p)
+        ux, uz = u[: p.nx], u[p.nx : p.nx + p.nz]
 
         def objective(x, z):
             return 0.5 * x @ p.D @ x - p.r_x @ x - p.r_z @ z
 
-        base = objective(u.x, u.z)
+        base = objective(ux, uz)
         null = sla.null_space(np.hstack([p.A, p.B]))
         rng = np.random.default_rng(11)
         for _ in range(10):
             d = null @ rng.standard_normal(null.shape[1])
             d *= 1e-4 / np.linalg.norm(d)
-            trial = objective(u.x + d[: p.nx], u.z + d[p.nx :])
+            trial = objective(ux + d[: p.nx], uz + d[p.nx :])
             assert trial >= base - 1e-12
 
 

@@ -51,8 +51,10 @@ class TestApplyInverse:
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
     def test_length_check(self, problem42):
-        with pytest.raises(ValueError, match="length"):
-            apply_inverse(make_engine(problem42, 1.0), np.zeros(problem42.dim + 1))
+        # a (dim + 1, k) block is refused like a (dim + 1,) vector
+        for shape in ((problem42.dim + 1,), (problem42.dim + 1, 3)):
+            with pytest.raises(ValueError, match="length"):
+                apply_inverse(make_engine(problem42, 1.0), np.zeros(shape))
 
 
 def test_spectral_radius_consistency(problem7):
