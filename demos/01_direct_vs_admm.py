@@ -1,7 +1,7 @@
 """Build a random saddle-point problem and solve it three ways.
 
 Walks through the basic objects: the problem container, the assembled KKT
-system, the dense direct solve used as the reference oracle, and the ADMM
+matrix, the dense direct solve used as the reference oracle, and the ADMM
 sweep at a few penalty values including the balanced choice sqrt(m*ell).
 """
 
@@ -21,10 +21,10 @@ from admmgmres import (
 from admmgmres.randgen import GenSpec
 
 problem = random_problem(GenSpec(nx=30, ny=20, nz=8, s=0.6, seed=7))
-system = assemble_kkt(problem)
+M = assemble_kkt(problem)
 print(f"problem: nx={problem.nx} ny={problem.ny} nz={problem.nz} "
       f"(stacked dimension {problem.dim})")
-print(f"KKT matrix symmetric: {np.array_equal(system.M, system.M.T)}")
+print(f"KKT matrix symmetric: {np.array_equal(M, M.T)}")
 
 star = direct_solve(problem)
 print(f"direct solve residual: {kkt_residual(problem, star):.3e} "

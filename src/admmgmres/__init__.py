@@ -24,7 +24,6 @@ from .bounds import (
     two_interval_bound,
 )
 from .core import (
-    KktSystem,
     NumericalError,
     SaddleProblem,
     assemble_kkt,
@@ -55,7 +54,6 @@ __all__ = [
     "GenSpec",
     "GmresResult",
     "IterationTrace",
-    "KktSystem",
     "LinearOperator",
     "NumericalError",
     "SaddleProblem",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, check_beta, kkt_matvec
+from .core import NumericalError, check_beta, check_max_iter, kkt_matvec
 from .precond import apply_inverse
 
 __all__ = [
@@ -85,63 +85,74 @@ def admm_step(engine, u):
     return u + apply_inverse(engine, p.rhs() - kkt_matvec(p, u))
 
 
-def _start(problem, u0, epsilon, max_iter):
-    """Checked start of a solve: (u0, r, s0 = r - M u0, ||s0||, threshold).
+class _Run:
+    """Checked start and true-residual history of one solve, kept for either solver.
 
     ``u0`` is a stacked (dim,) vector, zeros by default, and is never
-    written to; ``max_iter`` may be None where the solver has its own cap.
-    Convergence is relative to the initial residual, with a floor of
-    epsilon * ||r|| so that a warm start at (or numerically at) the solution
-    stops at once instead of chasing roundoff; from zero both references
-    coincide.  A non-finite initial residual raises :class:`NumericalError`,
-    since eps * max(inf, inf) would otherwise pass at once.
+    written to; ``s0 = r - M u0`` is its residual.  Convergence is relative
+    to the initial residual, with a floor of epsilon * ||r|| so that a warm
+    start at (or numerically at) the solution stops at once instead of
+    chasing roundoff; from zero both references coincide.  A non-finite
+    residual, initial or later, raises :class:`NumericalError`; at the
+    start eps * max(inf, inf) would otherwise pass at once.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    u0 = np.zeros(problem.dim) if u0 is None else u0
-    r = problem.rhs()
-    s0 = r - kkt_matvec(problem, u0)
-    res0 = float(np.linalg.norm(s0))
-    if not np.isfinite(res0):
-        raise NumericalError(
-            f"non-finite initial KKT residual {res0}; the starting iterate is not finite"
-        )
-    return u0, r, s0, res0, epsilon * max(res0, float(np.linalg.norm(r)))
+
+    def __init__(self, problem, u0, epsilon, max_iter):
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        self.max_iter = check_max_iter(max_iter)
+        self.epsilon = epsilon
+        self.u0 = np.zeros(problem.dim) if u0 is None else u0
+        self.r = problem.rhs()
+        self.s0 = self.r - kkt_matvec(problem, self.u0)
+        self.residuals, self.threshold = [], 0.0  # set once ||s0|| is known
+        self.add(self.s0)
+        self.threshold = epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
+
+    @property
+    def iterations(self):
+        return len(self.residuals) - 1
+
+    @property
+    def converged(self):
+        return bool(self.residuals[-1] <= self.threshold)
+
+    def add(self, s):
+        """Record ||s|| as the next iterate's residual; True once it meets the threshold."""
+        res = float(np.linalg.norm(s))
+        if not res < np.inf:  # a norm is >= 0, so this is inf or nan
+            k = len(self.residuals)
+            if k == 0:
+                raise NumericalError(
+                    f"non-finite initial KKT residual {res}; the starting iterate is not finite"
+                )
+            raise NumericalError(
+                f"non-finite KKT residual at iteration {k}; "
+                f"last finite iteration was {k - 1} with residual {self.residuals[-1]:.3e}"
+            )
+        self.residuals.append(res)
+        return self.converged
+
+    def trace(self, method_tag, beta):
+        return IterationTrace(np.asarray(self.residuals), self.iterations, self.converged,
+                              self.epsilon, method_tag, beta)
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     """Run ADMM sweeps from the stacked ``u0`` (zeros by default).
 
-    The loop stops once the KKT residual has dropped by ``epsilon`` (the
-    test of :func:`_start`), or after ``max_iter`` sweeps.  It keeps one
-    residual s = r - M u per iterate: its norm is the recorded true
-    residual ||M u_k - r|| (u0 included) and the next sweep is
-    u + P^{-1} s, so monitoring costs no extra mat-vec.
+    The loop stops once the KKT residual is at most ``epsilon`` in (0, 1)
+    times the larger of the initial residual and ||r||, or after
+    ``max_iter`` sweeps, an integer of at least 1.  It keeps one residual
+    s = r - M u per iterate: its norm is the recorded true residual
+    ||M u_k - r|| (u0 included) and the next sweep is u + P^{-1} s, so
+    monitoring costs no extra mat-vec.
     """
     problem = engine.problem
-    u, r, s, res, threshold = _start(problem, u0, epsilon, max_iter)
-    residuals = [res]
-    converged = res <= threshold
-    k = 0
-    while not converged and k < max_iter:
+    run = _Run(problem, u0, epsilon, max_iter)
+    u, s = run.u0, run.s0
+    while not run.converged and run.iterations < run.max_iter:
         u = u + apply_inverse(engine, s)
-        s = r - kkt_matvec(problem, u)
-        res = float(np.linalg.norm(s))
-        if not np.isfinite(res):
-            raise NumericalError(
-                f"non-finite KKT residual at iteration {k + 1}; "
-                f"last finite iteration was {k} with residual {residuals[-1]:.3e}"
-            )
-        residuals.append(res)
-        k += 1
-        converged = res <= threshold
-    return IterationTrace(
-        residuals=np.asarray(residuals),
-        iterations=k,
-        converged=bool(converged),
-        epsilon=epsilon,
-        method_tag="admm",
-        beta=engine.beta,
-    )
+        s = run.r - kkt_matvec(problem, u)
+        run.add(s)
+    return run.trace("admm", engine.beta)

@@ -114,6 +114,15 @@ def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _emit(output, text):
+    """Write ``text`` to the file ``output`` and print its path, or print ``text``."""
+    if output:
+        _write_text(output, text)
+        print(output)
+    else:
+        print(text, end="")
+
+
 def cmd_gen(args):
     spec = GenSpec(nx=args.nx, ny=args.ny, nz=args.nz, s=args.s, seed=args.seed)
     problem = random_problem(spec)
@@ -169,13 +178,7 @@ def cmd_solve(args):
 def cmd_spectrum(args):
     problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
-    report = classify_and_verify(problem, beta)
-    text = report.to_json() + "\n"
-    if args.output:
-        _write_text(args.output, text)
-        print(args.output)
-    else:
-        print(text, end="")
+    _emit(args.output, classify_and_verify(problem, beta).to_json() + "\n")
     return 0
 
 
@@ -185,12 +188,7 @@ def cmd_bounds(args):
     report = classify_and_verify(problem, beta)
     factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)
     curve = theorem_curve(args.kind, args.k_max, beta, report.m, report.ell, factors, args.eps)
-    text = curve_to_csv(curve)
-    if args.output:
-        _write_text(args.output, text)
-        print(args.output)
-    else:
-        print(text, end="")
+    _emit(args.output, curve_to_csv(curve))
     return 0
 
 
@@ -219,16 +217,17 @@ def _scaling_rows(args):
             m, ell, kappa = dtilde_extremes(problem)
         except (ValueError, NumericalError) as exc:
             for column in ("admm", "admm-gmres-right"):
-                rows.append({**base, "method": column, "beta": float("nan"),
-                             "kappa": float("nan"), **_failed(exc)})
+                rows.append({**base, "method": column, "beta": float("nan"), "kappa": float("nan"),
+                             "seventeen_sqrt_kappa": float("nan"), **_failed(exc)})
             continue
+        base.update(kappa=kappa, seventeen_sqrt_kappa=17.0 * math.sqrt(kappa))
 
         runs = (
             ("admm", "admm", math.sqrt(m * ell)),
             ("admm-gmres-right", "gmres-right", sample_beta(beta_seed)),
         )
         for column, method, beta in runs:
-            row = {**base, "method": column, "beta": beta, "kappa": kappa}
+            row = {**base, "method": column, "beta": beta}
             try:
                 trace = _run_method(problem, method, beta, args.eps, args.max_iter)
                 row.update(iterations=trace.iterations, converged=trace.converged,
@@ -239,37 +238,23 @@ def _scaling_rows(args):
     return rows
 
 
-_SCALING_HEADER = (
-    "problem_id,nx,ny,nz,s,seed,method,beta,kappa,iterations,converged,"
-    "final_rel_residual,seventeen_sqrt_kappa,status"
+_SCALING_COLUMNS = (
+    "problem_id", "nx", "ny", "nz", "s", "seed", "method", "beta", "kappa", "iterations",
+    "converged", "final_rel_residual", "seventeen_sqrt_kappa", "status",
 )
 
 
+def _csv_cell(value):
+    """A bool as true/false, a float (numpy's too) by the repr of the float, else str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def cmd_scaling(args):
-    rows = _scaling_rows(args)
-    lines = [_SCALING_HEADER]
-    for row in rows:
-        ref = 17.0 * math.sqrt(row["kappa"]) if np.isfinite(row["kappa"]) else float("nan")
-        lines.append(
-            ",".join(
-                [
-                    row["problem_id"],
-                    str(row["nx"]),
-                    str(row["ny"]),
-                    str(row["nz"]),
-                    repr(row["s"]),
-                    str(row["seed"]),
-                    row["method"],
-                    repr(float(row["beta"])),
-                    repr(float(row["kappa"])),
-                    str(row["iterations"]),
-                    "true" if row["converged"] else "false",
-                    repr(float(row["final_rel_residual"])),
-                    repr(float(ref)),
-                    row["status"],
-                ]
-            )
-        )
+    lines = [",".join(_SCALING_COLUMNS)]
+    for row in _scaling_rows(args):
+        lines.append(",".join(_csv_cell(row[column]) for column in _SCALING_COLUMNS))
     _write_text(args.output, "\n".join(lines) + "\n")
     print(args.output)
     return 0

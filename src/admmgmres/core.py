@@ -15,8 +15,8 @@ Everything in this package is dense and sized for desk-scale experiments
 """
 
 import json
+import numbers
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,7 +24,6 @@ import scipy.linalg as sla
 __all__ = [
     "NumericalError",
     "SaddleProblem",
-    "KktSystem",
     "assemble_kkt",
     "kkt_matvec",
     "kkt_residual",
@@ -44,11 +43,25 @@ class NumericalError(RuntimeError):
 
 
 def check_beta(beta):
-    """Return the penalty as a float; raise unless it is finite and positive."""
-    beta = float(beta)
-    if not 0 < beta < np.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    """Return the penalty as a float; raise unless beta and 1/beta are finite and positive.
+
+    P(beta) holds -(1/beta) I, so a penalty below 1/DBL_MAX is refused here
+    rather than as an overflow deep inside a solve.
+    """
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise ValueError(f"beta must be a number, got {beta!r}") from None
+    if not (0 < beta < np.inf and 1.0 / beta < np.inf):
+        raise ValueError(f"beta must be finite and positive with a finite 1/beta, got {beta}")
     return beta
+
+
+def check_max_iter(max_iter):
+    """Return ``max_iter``; raise unless it is an integer of at least 1."""
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    return max_iter
 
 
 def _as_matrix(name, value, rows, cols):
@@ -179,16 +192,8 @@ class SaddleProblem:
         return f"SaddleProblem(nx={self.nx}, ny={self.ny}, nz={self.nz})"
 
 
-@dataclass
-class KktSystem:
-    """Assembled dense KKT matrix and stacked right-hand side."""
-
-    M: np.ndarray
-    r: np.ndarray
-
-
 def assemble_kkt(problem):
-    """Assemble the dense symmetric KKT matrix M and right-hand side r.
+    """Assemble the dense symmetric KKT matrix M; ``problem.rhs()`` is its r.
 
     Zero blocks are exact zeros, so M == M' holds exactly.
     """
@@ -201,7 +206,7 @@ def assemble_kkt(problem):
             [A, B, np.zeros((ny, ny))],
         ]
     )
-    return KktSystem(M, problem.rhs())
+    return M
 
 
 def stacked_parts(problem, u, block=False):
@@ -238,8 +243,7 @@ def direct_solve(problem):
     :class:`NumericalError`, carrying a condition estimate, if the refined
     residual still exceeds 1e-10 * max(1, ||r||).
     """
-    system = assemble_kkt(problem)
-    M, r = system.M, system.r
+    M, r = assemble_kkt(problem), problem.rhs()
     try:
         lu, piv = sla.lu_factor(M)
         u = sla.lu_solve((lu, piv), r)

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .admm import IterationTrace, _start, make_engine
-from .core import NumericalError, kkt_matvec
+from .admm import _Run, make_engine
+from .core import NumericalError, check_max_iter, kkt_matvec
 from .precond import apply_inverse
 
 __all__ = ["LinearOperator", "GmresResult", "gmres", "admm_gmres_solve"]
@@ -63,8 +63,8 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
         add x0 to the solution.
     tol : stop when the relative residual of the handed system drops below
         this value; 0 leaves the stop to ``callback`` and ``max_iter``.
-    max_iter : cap on iterations; clamped to ``op.dim`` since full GMRES
-        terminates exactly by then.
+    max_iter : cap on iterations, an integer of at least 1 (None: ``op.dim``);
+        clamped to ``op.dim`` since full GMRES terminates exactly by then.
     callback : optional ``callback(k, x_k) -> bool``; called after every
         iteration with the current iterate x_k of this system (a correction
         when the caller solves for one), may return True to request an
@@ -79,7 +79,7 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f"rhs must have length {n}, got shape {rhs.shape}")
-    m = n if max_iter is None else max(1, min(int(max_iter), n))
+    m = n if max_iter is None else min(check_max_iter(max_iter), n)
 
     beta0 = np.linalg.norm(rhs)
     if not np.isfinite(beta0):
@@ -155,13 +155,15 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
 
     Both sides start from the stacked vector ``u0`` (zeros by default) and
     its residual s0 = r - M u0.  The start, ``epsilon`` and ``max_iter``
-    (by default the dimension, where full GMRES ends) are checked, and the
-    convergence threshold set, as in :func:`admmgmres.admm.admm_solve`.
-    The right side solves M P^{-1} d = s0 and recovers u = u0 + P^{-1} d;
-    the left side solves P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.
-    The returned :class:`IterationTrace` holds the true KKT residual
-    ||M u_k - r|| of the recovered iterate at every GMRES iteration, and
-    that test alone stops the loop (the inner tolerance is zero).
+    (None means the dimension, where full GMRES ends) are checked, and the
+    convergence threshold set, by the same record as in
+    :func:`admmgmres.admm.admm_solve`.  The right side solves
+    M P^{-1} d = s0 and recovers u = u0 + P^{-1} d; the left side solves
+    P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.  The GMRES callback
+    hands that record the true residual r - M u of every recovered
+    iterate, so the returned trace holds ||M u_k - r|| at every GMRES
+    iteration, and that test alone stops the loop (the inner tolerance is
+    zero).
 
     On the right side the true residual is the one GMRES minimizes over a
     Krylov space that holds the plain ADMM iterate, so it stays at or
@@ -176,36 +178,17 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    u0, r, s0, res0, threshold = _start(problem, u0, epsilon, max_iter)
-    residuals = [res0]
+    run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter)
     engine = make_engine(problem, beta)
 
     if side == "left":
         op = LinearOperator(problem.dim, lambda v: apply_inverse(engine, kkt_matvec(problem, v)))
-        rhs = apply_inverse(engine, s0)
+        rhs, recover = apply_inverse(engine, run.s0), lambda d: d
     else:
         op = LinearOperator(problem.dim, lambda v: kkt_matvec(problem, apply_inverse(engine, v)))
-        rhs = s0
+        rhs, recover = run.s0, lambda d: apply_inverse(engine, d)
 
-    def monitor(k, dk):
-        u = u0 + (dk if side == "left" else apply_inverse(engine, dk))
-        res = float(np.linalg.norm(kkt_matvec(problem, u) - r))
-        if not np.isfinite(res):
-            raise NumericalError(
-                f"non-finite KKT residual at GMRES iteration {k}; "
-                f"last finite iteration was {k - 1}"
-            )
-        residuals.append(res)
-        return res <= threshold
-
-    iterations = 0
-    if residuals[0] > threshold:
-        iterations = gmres(op, rhs, tol=0.0, max_iter=max_iter, callback=monitor).iterations
-    return IterationTrace(
-        residuals=np.asarray(residuals),
-        iterations=iterations,
-        converged=bool(residuals[-1] <= threshold),
-        epsilon=epsilon,
-        method_tag=f"admm-gmres-{side}",
-        beta=engine.beta,
-    )
+    if not run.converged:
+        gmres(op, rhs, tol=0.0, max_iter=run.max_iter,
+              callback=lambda k, d: run.add(run.r - kkt_matvec(problem, run.u0 + recover(d))))
+    return run.trace(f"admm-gmres-{side}", engine.beta)

@@ -161,7 +161,7 @@ def build_iteration_matrix(problem, beta):
     reads x) and, unlike I - P^{-1} M, nothing cancels.
     """
     engine = make_engine(problem, beta)
-    return apply_inverse(engine, assemble_precond(engine) - assemble_kkt(problem).M)
+    return apply_inverse(engine, assemble_precond(engine) - assemble_kkt(problem))
 
 
 @dataclass
@@ -334,7 +334,7 @@ def classify_and_verify(problem, beta):
     engine = make_engine(problem, beta)
     beta = engine.beta
     P = assemble_precond(engine)
-    M = assemble_kkt(problem).M
+    M = assemble_kkt(problem)
     # The x columns of P - M are exact zeros, and so are those of G.
     G = apply_inverse(engine, (P - M)[:, problem.nx :])
 
@@ -361,7 +361,7 @@ def classify_and_verify(problem, beta):
         c1=float(s_cond * np.linalg.norm(G, 2) ** 2),
         kappa_P=float(np.linalg.cond(P, 2)),
         kappa_X=_eigvec_condition(K, X, problem.nz),
-        kappa_M=_piece(problem, "cond_M", lambda p: float(np.linalg.cond(assemble_kkt(p).M, 2))),
+        kappa_M=_piece(problem, "cond_M", lambda p: float(np.linalg.cond(assemble_kkt(p), 2))),
     )
 
 

@@ -53,7 +53,8 @@ class TestEngine:
 
     def test_rejects_bad_beta(self, problem42):
         for entry in (make_engine, schur_pieces, build_k_matrix, build_iteration_matrix):
-            for beta in (0.0, -2.0, math.inf, math.nan):
+            # 1e-310 is positive, but P(beta) holds -(1/beta) I and 1/beta overflows
+            for beta in (0.0, -2.0, math.inf, math.nan, 1e-310):
                 with pytest.raises(ValueError, match="beta"):
                     entry(problem42, beta)
 
@@ -209,8 +210,18 @@ class TestSolve:
         eng = make_engine(problem42, 1.0)
         with pytest.raises(ValueError, match="epsilon"):
             admm_solve(eng, epsilon=1.5)
-        with pytest.raises(ValueError, match="max_iter"):
-            admm_solve(eng, epsilon=1e-6, max_iter=0)
+        # None once crashed with a TypeError mid-loop and 2.5 ran 3 sweeps
+        for bad in (0, None, 2.5):
+            with pytest.raises(ValueError, match="max_iter"):
+                admm_solve(eng, epsilon=1e-6, max_iter=bad)
+
+    def test_non_finite_iterate_raises(self, problem42):
+        # at beta = 1e-200 the first sweep overflows; the trace must not end in inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError,
+            match="non-finite KKT residual at iteration 1; last finite iteration was 0",
+        ):
+            admm_solve(make_engine(problem42, 1e-200))
 
     def test_residual_monitored_on_true_system(self, problem42):
         eng = make_engine(problem42, 0.8)

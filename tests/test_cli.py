@@ -87,10 +87,20 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
     def test_invalid_beta(self, problem_file, capsys):
-        assert main(["solve", str(problem_file), "--beta", "-1"]) == 2
-        assert main(["solve", str(problem_file), "--beta", "grmbl"]) == 2
-        assert main(["solve", str(problem_file), "--beta", "inf"]) == 2
-        assert "beta" in capsys.readouterr().err.splitlines()[-1]
+        # 1e-310 once exited 2 with scipy's "array must not contain infs or NaNs"
+        for beta in ("-1", "grmbl", "inf", "1e-310"):
+            assert main(["solve", str(problem_file), "--beta", beta]) == 2
+            assert "beta" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["admm", "gmres-left", "gmres-right"])
+    def test_overflowing_beta_exits_3(self, tmp_path, problem_file, capsys, method):
+        prefix = tmp_path / "run"
+        assert main(["solve", str(problem_file), "--method", method, "--beta", "1e-200",
+                     "--out-prefix", str(prefix)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "run.json").exists()
 
     def test_non_finite_data_names_block(self, tmp_path, problem_file, capsys):
         # inf in rx once made solve report converged=True with a NaN residual
@@ -272,3 +282,11 @@ def test_solve_refuses_to_overwrite_problem(tmp_path, capsys):
     rc = main(["solve", str(path), "--out-prefix", str(tmp_path / "p")])
     assert rc == 2
     assert "overwrite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["bounds", "--kind", "thm7"]],
+                         ids=["spectrum", "bounds"])
+def test_beta_with_infinite_reciprocal_names_beta(problem_file, capsys, command):
+    # once exited 2 with scipy's "array must not contain infs or NaNs"
+    assert main([command[0], str(problem_file), *command[1:], "--beta", "1e-310"]) == 2
+    assert "beta" in capsys.readouterr().err

@@ -45,19 +45,18 @@ def brute_force_kkt(p):
 
 class TestAssemble:
     def test_hand_example(self):
-        system = assemble_kkt(tiny_problem())
-        assert np.array_equal(system.M, [[1, 0, 1], [0, 0, 1], [1, 1, 0]])
-        assert np.array_equal(system.r, [1, 1, 1])
+        problem = tiny_problem()
+        assert np.array_equal(assemble_kkt(problem), [[1, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert np.array_equal(problem.rhs(), [1, 1, 1])
 
     def test_exact_symmetry(self, problem42):
-        M = assemble_kkt(problem42).M
+        M = assemble_kkt(problem42)
         assert np.max(np.abs(M - M.T)) == 0.0
 
     def test_against_brute_force(self, problem42):
-        system = assemble_kkt(problem42)
         M, r = brute_force_kkt(problem42)
-        assert np.array_equal(system.M, M)
-        assert np.array_equal(system.r, r)
+        assert np.array_equal(assemble_kkt(problem42), M)
+        assert np.array_equal(problem42.rhs(), r)
 
 
 class TestResidual:
@@ -72,10 +71,10 @@ class TestResidual:
 
     def test_matches_matrix_form(self, problem7):
         rng = np.random.default_rng(7)
-        system = assemble_kkt(problem7)
+        M, r = assemble_kkt(problem7), problem7.rhs()
         for _ in range(5):
             u = rng.standard_normal(problem7.dim)
-            direct = np.linalg.norm(system.M @ u - system.r)
+            direct = np.linalg.norm(M @ u - r)
             assert kkt_residual(problem7, u) == pytest.approx(direct, rel=1e-14)
 
     @pytest.mark.parametrize("extra", [(1,), (0, 1)], ids=["long", "column"])
@@ -213,6 +212,6 @@ class TestJsonFormat:
 
     def test_matvec_matches_assembled(self, problem7):
         rng = np.random.default_rng(0)
-        M = assemble_kkt(problem7).M
+        M = assemble_kkt(problem7)
         v = rng.standard_normal(problem7.dim)
         assert np.allclose(kkt_matvec(problem7, v), M @ v, rtol=1e-14, atol=0)

@@ -59,6 +59,12 @@ class TestGmres:
             assert out.iterations <= n
             assert np.linalg.norm(M @ out.solution - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
+    def test_max_iter_below_one_raises(self):
+        # the cap was clamped up to 1, so max_iter=0 ran one step
+        op, _ = well_conditioned_op(8, 3)
+        with pytest.raises(ValueError, match="max_iter"):
+            gmres(op, np.ones(8), max_iter=0)
+
     def test_zero_rhs(self):
         op, _ = well_conditioned_op(8, 3)
         out = gmres(op, np.zeros(8), tol=1e-10)

@@ -42,7 +42,7 @@ class TestApplyInverse:
         # u - P^{-1}(M u) equals G u: the preconditioner inverts one sweep
         rng = np.random.default_rng(4)
         eng = make_engine(problem42, 1.1)
-        M = assemble_kkt(problem42).M
+        M = assemble_kkt(problem42)
         G = build_iteration_matrix(problem42, 1.1)
         for _ in range(5):
             u = rng.standard_normal(problem42.dim)
@@ -62,7 +62,7 @@ def test_spectral_radius_consistency(problem7):
     for beta in (0.4, 1.0, 2.6):
         eng = make_engine(problem7, beta)
         P = assemble_precond(eng)
-        M = assemble_kkt(problem7).M
+        M = assemble_kkt(problem7)
         G = build_iteration_matrix(problem7, beta)
         rho_p = np.max(np.abs(np.linalg.eigvals(np.eye(problem7.dim) - np.linalg.solve(P, M))))
         rho_g = np.max(np.abs(np.linalg.eigvals(G)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import admmgmres
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED = ("Iterate", "affine_offset", "convergence_threshold")
+REMOVED = ("Iterate", "affine_offset", "convergence_threshold", "KktSystem")
 
 
 def modules():
