@@ -3,18 +3,18 @@
 For a fixed penalty beta > 0 the three update steps (local solve, global
 solve, multiplier update) are linear, so the sweep is the affine
 fixed-point map u -> G(beta) u + b(beta) with G = P^{-1} (P - M), and one
-sweep is exactly u + P^{-1} (r - M u).  The sweep therefore applies the
-preconditioner through :func:`admmgmres.precond.apply_inverse`, which
-reuses the Cholesky factorizations of D + beta A'A and B'B computed once
-per (problem, beta) pair; varying beta mid-run is deliberately
-unsupported.
+sweep is exactly u + P^{-1} (r - M u).  :func:`admm_solve` forms P^{-1}
+once per solve, through :func:`admmgmres.precond.apply_inverse` on the
+identity with the Cholesky factorizations of D + beta A'A and B'B that the
+engine computed once per (problem, beta) pair, so each sweep is two dense
+mat-vecs; varying beta mid-run is deliberately unsupported.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, check_beta, check_max_iter, kkt_matvec
+from .core import NumericalError, assemble_kkt, check_beta, check_max_iter, kkt_matvec
 from .precond import apply_inverse
 
 __all__ = [
@@ -43,12 +43,18 @@ class AdmmEngine:
 
 @dataclass
 class IterationTrace:
-    """KKT residual history of one solve.
+    """KKT residual history and final iterate of one solve.
 
-    ``residuals[k]`` is the true residual norm ||M u_k - r|| at iterate k,
+    ``residuals[k]`` is the KKT residual norm ||M u_k - r|| at iterate k,
     starting with the initial point, so its length is ``iterations + 1``.
-    ``converged`` records the relative-to-initial residual test at the
-    tolerance ``epsilon`` (see :func:`admm_solve`).
+    ADMM records the true residual of every sweep.  GMRES records the
+    residual it reads from the Arnoldi images, which equals the true one
+    up to roundoff, and replaces it with a fresh ||M u_k - r|| whenever it
+    meets the threshold and as the last entry (see
+    :func:`admmgmres.gmres.admm_gmres_solve`).  ``converged`` records the
+    relative-to-initial residual test at the tolerance ``epsilon`` (see
+    :func:`admm_solve`).  ``solution`` is the final stacked iterate u_k,
+    the one whose fresh residual is ``residuals[-1]``.
     """
 
     residuals: np.ndarray
@@ -57,6 +63,7 @@ class IterationTrace:
     epsilon: float
     method_tag: str
     beta: float
+    solution: np.ndarray
 
 
 def make_engine(problem, beta):
@@ -86,7 +93,7 @@ def admm_step(engine, u):
 
 
 class _Run:
-    """Checked start and true-residual history of one solve, kept for either solver.
+    """Checked start, residual history and solution of one solve, kept for either solver.
 
     ``u0`` is a stacked (dim,) vector, zeros by default, and is never
     written to; ``s0 = r - M u0`` is its residual.  Convergence is relative
@@ -106,7 +113,7 @@ class _Run:
         self.r = problem.rhs()
         self.s0 = self.r - kkt_matvec(problem, self.u0)
         self.residuals, self.threshold = [], 0.0  # set once ||s0|| is known
-        self.add(self.s0)
+        self.add(self.s0, self.u0)
         self.threshold = epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
 
     @property
@@ -117,8 +124,13 @@ class _Run:
     def converged(self):
         return bool(self.residuals[-1] <= self.threshold)
 
-    def add(self, s):
-        """Record ||s|| as the next iterate's residual; True once it meets the threshold."""
+    def add(self, s, u=None):
+        """Record ||s|| as the next iterate's residual; True once it meets the threshold.
+
+        ``u`` marks ``s`` as the fresh residual r - M u of that iterate, which
+        becomes the solution; without it the entry is an estimate and
+        ``solution`` is None until :meth:`settle` replaces it.
+        """
         res = float(np.linalg.norm(s))
         if not res < np.inf:  # a norm is >= 0, so this is inf or nan
             k = len(self.residuals)
@@ -131,11 +143,18 @@ class _Run:
                 f"last finite iteration was {k - 1} with residual {self.residuals[-1]:.3e}"
             )
         self.residuals.append(res)
+        self.solution = u
         return self.converged
 
+    def settle(self, s, u):
+        """Replace the last entry by the fresh residual s = r - M u of the iterate ``u``."""
+        self.residuals.pop()
+        self.add(s, u)
+
     def trace(self, method_tag, beta):
+        # copied: after zero iterations the solution is the caller's u0
         return IterationTrace(np.asarray(self.residuals), self.iterations, self.converged,
-                              self.epsilon, method_tag, beta)
+                              self.epsilon, method_tag, beta, np.array(self.solution, dtype=float))
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
@@ -146,13 +165,22 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     ``max_iter`` sweeps, an integer of at least 1.  It keeps one residual
     s = r - M u per iterate: its norm is the recorded true residual
     ||M u_k - r|| (u0 included) and the next sweep is u + P^{-1} s, so
-    monitoring costs no extra mat-vec.
+    monitoring costs no extra mat-vec.  (GMRES instead records the residual
+    it reads from its Arnoldi images and takes a fresh one only at the stop
+    and as the last entry; see :func:`admmgmres.gmres.admm_gmres_solve`.)
+
+    Unless ``u0`` already meets the threshold, the solve forms P^{-1} once,
+    as :func:`admmgmres.precond.apply_inverse` of the identity, and M once,
+    so a sweep is two dense mat-vecs.  Both matrices take 2 dim^2 doubles
+    (2.4 MB at dimension 390).  The trace's ``solution`` is the last iterate.
     """
     problem = engine.problem
     run = _Run(problem, u0, epsilon, max_iter)
-    u, s = run.u0, run.s0
-    while not run.converged and run.iterations < run.max_iter:
-        u = u + apply_inverse(engine, s)
-        s = run.r - kkt_matvec(problem, u)
-        run.add(s)
+    if not run.converged:
+        Pinv, M = apply_inverse(engine, np.eye(problem.dim)), assemble_kkt(problem)
+        u, s = run.u0, run.s0
+        while not run.converged and run.iterations < run.max_iter:
+            u = u + Pinv @ s
+            s = run.r - M @ u
+            run.add(s, u)
     return run.trace("admm", engine.beta)

@@ -315,7 +315,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The solvers check their results for non-finite values and raise
+        # NumericalError, so numpy's overflow warnings would only repeat that
+        # cause from inside the library before the message below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -8,10 +8,13 @@ least-squares problem with Givens rotations.  ``admm_gmres_solve`` wraps it
 for the saddle-point system: from the residual s0 = r - M u0 of the stacked
 start u0 it solves for a correction d with the ADMM preconditioner on the
 right (M P^{-1} d = s0, u = u0 + P^{-1} d) or on the left
-(P^{-1} M d = P^{-1} s0, u = u0 + d).  Either way the returned trace
-records the true KKT residual of the recovered iterate at every iteration.
+(P^{-1} M d = P^{-1} s0, u = u0 + d).  Either way it keeps the M-image of
+every Krylov vector that its operator already forms, so the KKT residual
+of each recovered iterate is s0 minus one product with those images; a
+fresh r - M u confirms it at the stop.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,10 +68,12 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
         this value; 0 leaves the stop to ``callback`` and ``max_iter``.
     max_iter : cap on iterations, an integer of at least 1 (None: ``op.dim``);
         clamped to ``op.dim`` since full GMRES terminates exactly by then.
-    callback : optional ``callback(k, x_k) -> bool``; called after every
-        iteration with the current iterate x_k of this system (a correction
-        when the caller solves for one), may return True to request an
-        early stop (used for true-residual monitoring).
+    callback : optional ``callback(k, y, basis) -> bool``; called after
+        every iteration with the least-squares coefficients ``y`` (length k)
+        of the current iterate x_k = basis @ y of this system (a correction
+        when the caller solves for one), where ``basis`` is the (dim, k)
+        Krylov basis; may return True to request an early stop (used for
+        true-residual monitoring).
 
     Each Arnoldi step orthogonalizes the new vector with two classical
     Gram-Schmidt passes (Giraud, Langou & Rozloznik 2005: "twice is
@@ -96,13 +101,12 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
     g[0] = beta0
     inner = [beta0]
 
-    def reconstruct(k):
+    def coefficients(k):
         R = np.triu(H[:k, :k])
         try:
-            y = np.linalg.solve(R, g[:k])
+            return np.linalg.solve(R, g[:k])
         except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(R, g[:k], rcond=None)[0]
-        return V[:, :k] @ y
+            return np.linalg.lstsq(R, g[:k], rcond=None)[0]
 
     breakdown = False
     k = 0
@@ -142,11 +146,11 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
         inner.append(abs(g[k]))
         stop = inner[-1] <= tol * beta0 or breakdown
         if callback is not None:
-            stop = bool(callback(k, reconstruct(k))) or stop
+            stop = bool(callback(k, coefficients(k), V[:, :k])) or stop
         if stop:
             break
 
-    x = reconstruct(k)
+    x = V[:, :k] @ coefficients(k)
     return GmresResult(x, np.asarray(inner), k, breakdown)
 
 
@@ -159,11 +163,20 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     convergence threshold set, by the same record as in
     :func:`admmgmres.admm.admm_solve`.  The right side solves
     M P^{-1} d = s0 and recovers u = u0 + P^{-1} d; the left side solves
-    P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.  The GMRES callback
-    hands that record the true residual r - M u of every recovered
-    iterate, so the returned trace holds ||M u_k - r|| at every GMRES
-    iteration, and that test alone stops the loop (the inner tolerance is
-    zero).
+    P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.
+
+    Each Arnoldi step keeps the product its operator already forms, the
+    image w_j = M P^{-1} v_j on the right and w_j = M v_j on the left, so
+    the KKT residual of the iterate with coefficients y_k is
+    r - M u_k = s0 - W_k y_k, one mat-vec per step.  The trace records
+    that value (equal to the true residual up to roundoff; Paige,
+    Rozloznik & Strakos 2006).  Whenever it meets the threshold a fresh
+    r - M u_k replaces it, and only that fresh test stops the loop (the
+    inner tolerance is zero); a run that ends unconverged records the
+    fresh residual of its final iterate as the last entry.  The trace's
+    ``solution`` is that confirmed or final iterate.  The images take
+    dim * min(max_iter, dim) doubles beside GMRES's basis of the same
+    size, so at most 2 dim^2 doubles (2.4 MB at dimension 390).
 
     On the right side the true residual is the one GMRES minimizes over a
     Krylov space that holds the plain ADMM iterate, so it stays at or
@@ -181,14 +194,35 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter)
     engine = make_engine(problem, beta)
 
+    if run.converged:
+        return run.trace(f"admm-gmres-{side}", engine.beta)
+
+    dim = problem.dim
+    W = np.empty((dim, min(run.max_iter, dim)))  # W[:, j] = w_j, in call order
+    calls = itertools.count()
+
+    def keep(image):
+        W[:, next(calls)] = image
+        return image
+
     if side == "left":
-        op = LinearOperator(problem.dim, lambda v: apply_inverse(engine, kkt_matvec(problem, v)))
+        op = LinearOperator(dim, lambda v: apply_inverse(engine, keep(kkt_matvec(problem, v))))
         rhs, recover = apply_inverse(engine, run.s0), lambda d: d
     else:
-        op = LinearOperator(problem.dim, lambda v: kkt_matvec(problem, apply_inverse(engine, v)))
+        op = LinearOperator(dim, lambda v: keep(kkt_matvec(problem, apply_inverse(engine, v))))
         rhs, recover = run.s0, lambda d: apply_inverse(engine, d)
 
-    if not run.converged:
-        gmres(op, rhs, tol=0.0, max_iter=run.max_iter,
-              callback=lambda k, d: run.add(run.r - kkt_matvec(problem, run.u0 + recover(d))))
+    def fresh(d):
+        """The true residual r - M u of u = u0 + recover(d), and u."""
+        u = run.u0 + recover(d)
+        return run.r - kkt_matvec(problem, u), u
+
+    def monitor(k, y, basis):
+        if run.add(run.s0 - W[:, :k] @ y):
+            run.settle(*fresh(basis @ y))
+        return run.converged
+
+    result = gmres(op, rhs, tol=0.0, max_iter=run.max_iter, callback=monitor)
+    if run.solution is None:
+        run.settle(*fresh(result.solution))
     return run.trace(f"admm-gmres-{side}", engine.beta)

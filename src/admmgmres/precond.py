@@ -2,9 +2,11 @@
 
 At a fixed penalty ADMM is the fixed-point iteration u -> G u + b with
 G = I - P^{-1} M = P^{-1} (P - M), so one sweep is exactly u + P^{-1} (r - M u).
-:func:`apply_inverse` is the only code that applies P^{-1}: the ADMM sweep,
-both GMRES variants and the spectral module's explicit G all go through it.
-Every function here takes an :class:`~admmgmres.admm.AdmmEngine`.
+:func:`apply_inverse` is the only code that applies P^{-1}: ADMM forms the
+dense P^{-1} once per solve through it (on the identity), both GMRES
+variants apply it once per Arnoldi step, and the spectral module's
+explicit G goes through it too.  Every function here takes an
+:class:`~admmgmres.admm.AdmmEngine`.
 
 P(beta) factors as a unit upper-triangular augmentation times the block
 lower-triangular sweep operator,
@@ -13,9 +15,9 @@ lower-triangular sweep operator,
         [0  I  -beta B'] * [beta B'A      beta B'B       0    ]
         [0  0      I   ]   [A                 B      -(1/beta) I]
 
-so applying P^{-1} is one augmentation plus one forward sweep.  Explicit
-assembly is provided for verification only and is guarded to small
-dimensions; the production path is matrix-free.
+so applying P^{-1} is one augmentation plus one forward sweep, from the
+two Cholesky factors and without assembling P.  Explicit assembly of P is
+provided for verification only and is guarded to small dimensions.
 """
 
 import numpy as np

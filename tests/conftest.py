@@ -1,5 +1,6 @@
-"""Shared problem factories for the test suite."""
+"""Shared problem factories and call spies for the test suite."""
 
+import importlib
 import math
 
 import numpy as np
@@ -50,6 +51,21 @@ def extremes_problem(ny, nz, m, ell, seed, interior="log"):
         rng.standard_normal(nz),
         rng.standard_normal(ny),
     )
+
+
+def count_calls(monkeypatch, name):
+    """Spy on ``name`` where the solver modules look it up; return the list of its calls."""
+    calls = []
+    for module_name in ("admmgmres.admm", "admmgmres.gmres"):
+        module = importlib.import_module(module_name)
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 @pytest.fixture

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from admmgmres.admm import admm_solve, admm_step, make_engine
-from admmgmres.core import NumericalError, SaddleProblem, direct_solve, kkt_residual
+from admmgmres.core import (
+    NumericalError,
+    SaddleProblem,
+    assemble_kkt,
+    direct_solve,
+    kkt_residual,
+)
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.precond import apply_inverse
 from admmgmres.spectral import (
@@ -15,7 +21,7 @@ from admmgmres.spectral import (
     dtilde_extremes,
     schur_pieces,
 )
-from conftest import extremes_problem, random_dims, seeded_problem
+from conftest import count_calls, extremes_problem, random_dims, seeded_problem
 
 
 def square_identity_problem():
@@ -119,10 +125,38 @@ class TestAffineOffset:
 class TestSolve:
     def test_start_at_solution(self, problem42):
         eng = make_engine(problem42, 1.0)
-        trace = admm_solve(eng, u0=direct_solve(problem42), epsilon=1e-6)
+        u0 = direct_solve(problem42)
+        trace = admm_solve(eng, u0=u0, epsilon=1e-6)
         assert trace.converged
         assert trace.iterations == 0
         assert len(trace.residuals) == 1
+        assert np.array_equal(trace.solution, u0) and trace.solution is not u0
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    @pytest.mark.parametrize("max_iter", [None, 2], ids=["converged", "capped"])
+    def test_last_residual_is_the_solutions(self, problem42, method, max_iter):
+        # the trace returns its final iterate, and residuals[-1] belongs to it
+        kwargs = {} if max_iter is None else {"max_iter": max_iter}
+        trace = solve_from(problem42, method, None, **kwargs)
+        assert trace.converged == (max_iter is None)
+        u = trace.solution
+        assert u.shape == (problem42.dim,)
+        roundoff = 1e-13 * (np.linalg.norm(assemble_kkt(problem42)) * np.linalg.norm(u)
+                            + np.linalg.norm(problem42.rhs()))
+        assert abs(trace.residuals[-1] - kkt_residual(problem42, u)) <= roundoff
+
+    def test_forms_p_inverse_once(self, problem42, monkeypatch):
+        # P^{-1} is formed once per solve, whatever the sweep count, and not
+        # at all when the start already meets the threshold
+        calls = count_calls(monkeypatch, "apply_inverse")
+        eng = make_engine(problem42, 1.0)
+        for max_iter in (2, 100_000):
+            calls.clear()
+            trace = admm_solve(eng, max_iter=max_iter)
+            assert trace.iterations >= 2 and len(calls) == 1
+        calls.clear()
+        trace = admm_solve(eng, u0=direct_solve(problem42))
+        assert trace.iterations == 0 and calls == []
 
     def test_prop_estimate_dominates_seed42(self, problem42):
         m, ell, kappa = dtilde_extremes(problem42)

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -92,14 +94,21 @@ class TestSolve:
             assert main(["solve", str(problem_file), "--beta", beta]) == 2
             assert "beta" in capsys.readouterr().err.splitlines()[-1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("method", ["admm", "gmres-left", "gmres-right"])
     def test_overflowing_beta_exits_3(self, tmp_path, problem_file, capsys, method):
+        # numpy's overflow warning once reached stderr before the message
+        def to_stderr(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
         prefix = tmp_path / "run"
-        assert main(["solve", str(problem_file), "--method", method, "--beta", "1e-200",
-                     "--out-prefix", str(prefix)]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = to_stderr  # as outside pytest, which records warnings
+            assert main(["solve", str(problem_file), "--method", method, "--beta", "1e-200",
+                         "--out-prefix", str(prefix)]) == 3
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err
         assert not (tmp_path / "run.json").exists()
 
     def test_non_finite_data_names_block(self, tmp_path, problem_file, capsys):

@@ -8,7 +8,7 @@ from admmgmres.core import direct_solve, kkt_residual
 from admmgmres.gmres import LinearOperator, admm_gmres_solve, gmres
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
-from conftest import random_dims, seeded_problem
+from conftest import count_calls, random_dims, seeded_problem
 
 
 def matrix_op(M):
@@ -79,6 +79,14 @@ class TestGmres:
         lhs = op(a * u + b * v)
         rhs = a * op(u) + b * op(v)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+
+    def test_callback_sees_the_iterate_coefficients(self):
+        op, _ = well_conditioned_op(20, 8)
+        seen = []
+        out = gmres(op, np.arange(20.0), tol=0.0, max_iter=5,
+                    callback=lambda k, y, basis: seen.append((k, basis @ y)))
+        assert [k for k, _ in seen] == [1, 2, 3, 4, 5]
+        assert np.array_equal(seen[-1][1], out.solution)
 
     def test_happy_breakdown_on_rank_limited_rhs(self):
         # rhs in a 2-dimensional invariant subspace ends in a breakdown
@@ -161,6 +169,29 @@ class TestAdmmGmres:
                 trace = admm_gmres_solve(p, beta, "left", epsilon=1e-6)
                 assert trace.converged, (seed, beta)
                 assert trace.residuals[-1] <= 1e-6 * trace.residuals[0]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("max_iter", [None, 2], ids=["converged", "capped"])
+    def test_one_operator_application_per_step(self, problem42, monkeypatch, side, max_iter):
+        # the monitor reads the residual from the Arnoldi images, so only the
+        # start and the stop add a P^{-1} or an M (the right side once made
+        # 2k + 1 kkt_matvec calls)
+        inverses = count_calls(monkeypatch, "apply_inverse")
+        matvecs = count_calls(monkeypatch, "kkt_matvec")
+        trace = admm_gmres_solve(problem42, 1.0, side, max_iter=max_iter)
+        k = trace.iterations
+        assert k >= 2
+        assert len(inverses) <= k + 2 and len(matvecs) <= k + 2
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_huge_max_iter_allocates_by_dimension(self, problem42, side):
+        # the image buffer is sized by min(max_iter, dim); by max_iter alone
+        # this call would ask for 12 * 10**12 doubles
+        huge = admm_gmres_solve(problem42, 1.0, side, max_iter=10**12)
+        default = admm_gmres_solve(problem42, 1.0, side)
+        assert (huge.iterations, huge.converged) == (default.iterations, default.converged)
+        assert huge.residuals.tobytes() == default.residuals.tobytes()
+        assert huge.solution.tobytes() == default.solution.tobytes()
 
     def test_side_validation(self, problem42):
         with pytest.raises(ValueError, match="side"):
