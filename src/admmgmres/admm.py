@@ -3,19 +3,24 @@
 For a fixed penalty beta > 0 the three update steps (local solve, global
 solve, multiplier update) are linear, so the sweep is the affine
 fixed-point map u -> G(beta) u + b(beta) with G = P^{-1} (P - M), and one
-sweep is exactly u + P^{-1} (r - M u).  :func:`admm_solve` forms P^{-1}
-once per solve, through :func:`admmgmres.precond.apply_inverse` on the
-identity with the Cholesky factorizations of D + beta A'A and B'B that the
-engine computed once per (problem, beta) pair, so each sweep is two dense
-mat-vecs; varying beta mid-run is deliberately unsupported.
+sweep is exactly u + P^{-1} (r - M u).  The x columns of G are zero, so the
+next iterate depends only on the z and y parts of the last one.
+:func:`admm_solve` stacks the nonzero columns of G, b and their M-images
+into one matrix of 2 dim (nz + ny + 1) doubles (1.19 MB at dimension 390),
+formed once per solve by one block
+:func:`admmgmres.precond.apply_inverse` with the Cholesky factorizations of
+D + beta A'A and B'B that the engine computed once per (problem, beta)
+pair; each sweep is then one mat-vec with it.  Varying beta mid-run is
+deliberately unsupported.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, assemble_kkt, check_beta, check_max_iter, kkt_matvec
-from .precond import apply_inverse
+from .core import NumericalError, check_beta, check_max_iter, kkt_matvec
+from .precond import apply_inverse, sweep_columns
 
 __all__ = [
     "AdmmEngine",
@@ -47,10 +52,11 @@ class IterationTrace:
 
     ``residuals[k]`` is the KKT residual norm ||M u_k - r|| at iterate k,
     starting with the initial point, so its length is ``iterations + 1``.
-    ADMM records the true residual of every sweep.  GMRES records the
-    residual it reads from the Arnoldi images, which equals the true one
-    up to roundoff, and replaces it with a fresh ||M u_k - r|| whenever it
-    meets the threshold and as the last entry (see
+    Both solvers record the residual they read from products they already
+    form (ADMM from its stacked sweep matrix, GMRES from the Arnoldi
+    images), which equals the true one up to roundoff, and replace it with
+    a fresh ||M u_k - r|| whenever it meets the threshold and as the last
+    entry; only a fresh value stops a run (see :func:`admm_solve` and
     :func:`admmgmres.gmres.admm_gmres_solve`).  ``converged`` records the
     relative-to-initial residual test at the tolerance ``epsilon`` (see
     :func:`admm_solve`).  ``solution`` is the final stacked iterate u_k,
@@ -92,6 +98,15 @@ def admm_step(engine, u):
     return u + apply_inverse(engine, p.rhs() - kkt_matvec(p, u))
 
 
+@contextmanager
+def _naming(method_tag, beta):
+    """Prefix any :class:`NumericalError` raised inside with the solver and its penalty."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(f"{method_tag} at beta={beta}: {exc}") from exc
+
+
 class _Run:
     """Checked start, residual history and solution of one solve, kept for either solver.
 
@@ -109,6 +124,7 @@ class _Run:
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
         self.max_iter = check_max_iter(max_iter)
         self.epsilon = epsilon
+        self.problem = problem
         self.u0 = np.zeros(problem.dim) if u0 is None else u0
         self.r = problem.rhs()
         self.s0 = self.r - kkt_matvec(problem, self.u0)
@@ -129,7 +145,7 @@ class _Run:
 
         ``u`` marks ``s`` as the fresh residual r - M u of that iterate, which
         becomes the solution; without it the entry is an estimate and
-        ``solution`` is None until :meth:`settle` replaces it.
+        ``solution`` is None until :meth:`confirm` replaces it.
         """
         res = float(np.linalg.norm(s))
         if not res < np.inf:  # a norm is >= 0, so this is inf or nan
@@ -146,10 +162,10 @@ class _Run:
         self.solution = u
         return self.converged
 
-    def settle(self, s, u):
-        """Replace the last entry by the fresh residual s = r - M u of the iterate ``u``."""
+    def confirm(self, u):
+        """Replace the last entry by the fresh residual r - M u of its iterate ``u``."""
         self.residuals.pop()
-        self.add(s, u)
+        self.add(self.r - kkt_matvec(self.problem, u), u)
 
     def trace(self, method_tag, beta):
         # copied: after zero iterations the solution is the caller's u0
@@ -162,25 +178,43 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
 
     The loop stops once the KKT residual is at most ``epsilon`` in (0, 1)
     times the larger of the initial residual and ||r||, or after
-    ``max_iter`` sweeps, an integer of at least 1.  It keeps one residual
-    s = r - M u per iterate: its norm is the recorded true residual
-    ||M u_k - r|| (u0 included) and the next sweep is u + P^{-1} s, so
-    monitoring costs no extra mat-vec.  (GMRES instead records the residual
-    it reads from its Arnoldi images and takes a fresh one only at the stop
-    and as the last entry; see :func:`admmgmres.gmres.admm_gmres_solve`.)
+    ``max_iter`` sweeps, an integer of at least 1.
 
-    Unless ``u0`` already meets the threshold, the solve forms P^{-1} once,
-    as :func:`admmgmres.precond.apply_inverse` of the identity, and M once,
-    so a sweep is two dense mat-vecs.  Both matrices take 2 dim^2 doubles
-    (2.4 MB at dimension 390).  The trace's ``solution`` is the last iterate.
+    Unless ``u0`` already meets the threshold, the solve applies P^{-1}
+    once, by one block :func:`admmgmres.precond.apply_inverse`, to the
+    columns (P - M)[:, nx:] and to r.  That gives the nonzero columns G' of
+    G and b = P^{-1} r, which it stacks over their residual images:
+
+        T = [   G'        b    ]
+            [ -M G'   r - M b  ]
+
+    A sweep is then the one mat-vec w = T [z_k; y_k; 1]: its upper half is
+    u_{k+1} = G u_k + b and its lower half is r - M u_{k+1}.  T takes
+    2 dim (nz + ny + 1) doubles, 1.19 MB at dimension 390.
+
+    The trace records the residual read from that product, which equals
+    the true one up to roundoff.  Whenever it meets the threshold a fresh
+    r - M u_{k+1} replaces it, and only that fresh value stops the run; a
+    run that ends unconverged also ends on a fresh value, as in
+    :func:`admmgmres.gmres.admm_gmres_solve`.  The trace's ``solution`` is
+    that confirmed or final iterate.  A non-finite residual raises
+    :class:`NumericalError` naming the method and beta.
     """
     problem = engine.problem
-    run = _Run(problem, u0, epsilon, max_iter)
-    if not run.converged:
-        Pinv, M = apply_inverse(engine, np.eye(problem.dim)), assemble_kkt(problem)
-        u, s = run.u0, run.s0
+    with _naming("admm", engine.beta):
+        run = _Run(problem, u0, epsilon, max_iter)
+        if run.converged:
+            return run.trace("admm", engine.beta)
+        dim, nx, r = problem.dim, problem.nx, run.r
+        X = apply_inverse(engine, np.column_stack((sweep_columns(engine), r)))  # [G' b]
+        T = np.concatenate((X, -kkt_matvec(problem, X, block=True)))
+        T[dim:, -1] += r
+        v = np.append(run.u0[nx:], 1.0)  # [z_k; y_k; 1]
         while not run.converged and run.iterations < run.max_iter:
-            u = u + Pinv @ s
-            s = run.r - M @ u
-            run.add(s, u)
-    return run.trace("admm", engine.beta)
+            w = T @ v
+            v[:-1] = w[nx:dim]
+            if run.add(w[dim:]):
+                run.confirm(w[:dim])
+        if run.solution is None:
+            run.confirm(w[:dim])
+        return run.trace("admm", engine.beta)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .admm import _Run, make_engine
+from .admm import _naming, _Run, make_engine
 from .core import NumericalError, check_max_iter, kkt_matvec
 from .precond import apply_inverse
 
@@ -174,7 +174,9 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     r - M u_k replaces it, and only that fresh test stops the loop (the
     inner tolerance is zero); a run that ends unconverged records the
     fresh residual of its final iterate as the last entry.  The trace's
-    ``solution`` is that confirmed or final iterate.  The images take
+    ``solution`` is that confirmed or final iterate.  A non-finite value,
+    in the record or inside :func:`gmres`, raises :class:`NumericalError`
+    naming the method tag and beta.  The images take
     dim * min(max_iter, dim) doubles beside GMRES's basis of the same
     size, so at most 2 dim^2 doubles (2.4 MB at dimension 390).
 
@@ -191,38 +193,34 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter)
     engine = make_engine(problem, beta)
+    tag = f"admm-gmres-{side}"
+    with _naming(tag, engine.beta):
+        run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter)
+        if run.converged:
+            return run.trace(tag, engine.beta)
 
-    if run.converged:
-        return run.trace(f"admm-gmres-{side}", engine.beta)
+        dim = problem.dim
+        W = np.empty((dim, min(run.max_iter, dim)))  # W[:, j] = w_j, in call order
+        calls = itertools.count()
 
-    dim = problem.dim
-    W = np.empty((dim, min(run.max_iter, dim)))  # W[:, j] = w_j, in call order
-    calls = itertools.count()
+        def keep(image):
+            W[:, next(calls)] = image
+            return image
 
-    def keep(image):
-        W[:, next(calls)] = image
-        return image
+        if side == "left":
+            op = LinearOperator(dim, lambda v: apply_inverse(engine, keep(kkt_matvec(problem, v))))
+            rhs, recover = apply_inverse(engine, run.s0), lambda d: d
+        else:
+            op = LinearOperator(dim, lambda v: keep(kkt_matvec(problem, apply_inverse(engine, v))))
+            rhs, recover = run.s0, lambda d: apply_inverse(engine, d)
 
-    if side == "left":
-        op = LinearOperator(dim, lambda v: apply_inverse(engine, keep(kkt_matvec(problem, v))))
-        rhs, recover = apply_inverse(engine, run.s0), lambda d: d
-    else:
-        op = LinearOperator(dim, lambda v: keep(kkt_matvec(problem, apply_inverse(engine, v))))
-        rhs, recover = run.s0, lambda d: apply_inverse(engine, d)
+        def monitor(k, y, basis):
+            if run.add(run.s0 - W[:, :k] @ y):
+                run.confirm(run.u0 + recover(basis @ y))
+            return run.converged
 
-    def fresh(d):
-        """The true residual r - M u of u = u0 + recover(d), and u."""
-        u = run.u0 + recover(d)
-        return run.r - kkt_matvec(problem, u), u
-
-    def monitor(k, y, basis):
-        if run.add(run.s0 - W[:, :k] @ y):
-            run.settle(*fresh(basis @ y))
-        return run.converged
-
-    result = gmres(op, rhs, tol=0.0, max_iter=run.max_iter, callback=monitor)
-    if run.solution is None:
-        run.settle(*fresh(result.solution))
-    return run.trace(f"admm-gmres-{side}", engine.beta)
+        result = gmres(op, rhs, tol=0.0, max_iter=run.max_iter, callback=monitor)
+        if run.solution is None:
+            run.confirm(run.u0 + recover(result.solution))
+        return run.trace(tag, engine.beta)

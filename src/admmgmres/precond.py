@@ -2,10 +2,13 @@
 
 At a fixed penalty ADMM is the fixed-point iteration u -> G u + b with
 G = I - P^{-1} M = P^{-1} (P - M), so one sweep is exactly u + P^{-1} (r - M u).
-:func:`apply_inverse` is the only code that applies P^{-1}: ADMM forms the
-dense P^{-1} once per solve through it (on the identity), both GMRES
-variants apply it once per Arnoldi step, and the spectral module's
-explicit G goes through it too.  Every function here takes an
+:func:`apply_inverse` is the only code that applies P^{-1}.  P - M is zero
+in the x columns, so G is too and a sweep reads only the z and y parts of
+u; :func:`sweep_columns` builds the other columns of P - M from the blocks.
+ADMM applies P^{-1} to them (and to r) once per solve, which gives the
+nonzero columns of G and b in one block solve; the spectral module's G
+comes from the same two calls, and both GMRES variants apply P^{-1} once
+per Arnoldi step.  Every function here takes an
 :class:`~admmgmres.admm.AdmmEngine`.
 
 P(beta) factors as a unit upper-triangular augmentation times the block
@@ -25,7 +28,7 @@ import scipy.linalg as sla
 
 from .core import stacked_parts
 
-__all__ = ["apply_inverse", "assemble_precond"]
+__all__ = ["apply_inverse", "assemble_precond", "sweep_columns"]
 
 _DENSE_GUARD = 400
 
@@ -50,18 +53,36 @@ def apply_inverse(engine, v):
     return np.concatenate([x, z, y])
 
 
-def assemble_precond(engine):
-    """Explicit dense P(beta), refused above total dimension 400.
+def sweep_columns(engine):
+    """The z and y columns (P - M)[:, nx:] of P(beta) - M, built from the blocks.
 
-    The spectral module's dense constructions all assemble P first, so this
-    is the one place that enforces the guard.
+    Only two blocks are nonzero: -beta A'B in the x rows of the z columns
+    and -(1/beta) I in the y rows of the y columns.  They are computed as
+    :func:`assemble_precond` computes them, and every other entry is an
+    exact zero there too, so the result equals the assembled difference
+    bit for bit.  Nothing dim x dim is formed, so no dimension guard applies.
     """
     p, beta = engine.problem, engine.beta
-    if p.dim > _DENSE_GUARD:
+    nx, nz = p.nx, p.nz
+    cols = np.zeros((p.dim, nz + p.ny))
+    cols[:nx, :nz] = -beta * (p.A.T @ p.B)
+    cols[nx + nz :, nz:] = -(1.0 / beta) * np.eye(p.ny)
+    return cols
+
+
+def check_dense(problem):
+    """Refuse explicit dense constructions above total dimension 400."""
+    if problem.dim > _DENSE_GUARD:
         raise ValueError(
             f"explicit dense constructions are limited to total dimension "
-            f"{_DENSE_GUARD}, got {p.dim}"
+            f"{_DENSE_GUARD}, got {problem.dim}"
         )
+
+
+def assemble_precond(engine):
+    """Explicit dense P(beta), refused above total dimension 400."""
+    p, beta = engine.problem, engine.beta
+    check_dense(p)
     A, B, D = p.A, p.B, p.D
     nx, nz, ny = p.nx, p.nz, p.ny
     return np.block(

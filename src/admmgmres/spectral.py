@@ -7,7 +7,8 @@ conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.
 
 G(beta) = P^{-1} (P - M) comes from the same
-:func:`admmgmres.precond.apply_inverse` that runs the ADMM sweep.
+:func:`admmgmres.precond.apply_inverse` of
+:func:`admmgmres.precond.sweep_columns` that sets up the ADMM sweep.
 :func:`classify_and_verify` forms each piece of a report once, with c1 in
 closed form from the singular values of B; :func:`conditioning_factors`
 returns the factor part of that report.
@@ -20,7 +21,7 @@ problem is kept, by weak reference, so nothing outlives it.
 
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
-:func:`admmgmres.precond.assemble_precond`.
+:func:`admmgmres.precond.check_dense`.
 """
 
 import json
@@ -33,7 +34,7 @@ import scipy.linalg as sla
 
 from .admm import make_engine
 from .core import assemble_kkt, check_beta
-from .precond import apply_inverse, assemble_precond
+from .precond import apply_inverse, assemble_precond, check_dense, sweep_columns
 
 __all__ = [
     "SchurPieces",
@@ -157,11 +158,15 @@ def build_iteration_matrix(problem, beta):
     """Explicit dense ADMM iteration matrix G(beta) = P^{-1} (P - M).
 
     One sweep maps u to G u + b.  P - M is nonzero only in the z and y
-    columns, so the x columns of G come out exactly zero (the sweep never
-    reads x) and, unlike I - P^{-1} M, nothing cancels.
+    columns, so the x columns of G are exact zeros (the sweep never reads
+    x) and, unlike I - P^{-1} M, nothing cancels.  Refused above total
+    dimension 400.
     """
+    check_dense(problem)
     engine = make_engine(problem, beta)
-    return apply_inverse(engine, assemble_precond(engine) - assemble_kkt(problem))
+    G = np.zeros((problem.dim, problem.dim))
+    G[:, problem.nx :] = apply_inverse(engine, sweep_columns(engine))
+    return G
 
 
 @dataclass
@@ -334,9 +339,8 @@ def classify_and_verify(problem, beta):
     engine = make_engine(problem, beta)
     beta = engine.beta
     P = assemble_precond(engine)
-    M = assemble_kkt(problem)
-    # The x columns of P - M are exact zeros, and so are those of G.
-    G = apply_inverse(engine, (P - M)[:, problem.nx :])
+    # The x columns of G are exact zeros; its norm needs only the others.
+    G = apply_inverse(engine, sweep_columns(engine))
 
     w, V = _piece(problem, "eig", _dtilde_eig)
     m, ell = 1.0 / w[-1], 1.0 / w[0]

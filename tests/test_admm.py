@@ -146,8 +146,8 @@ class TestSolve:
         assert abs(trace.residuals[-1] - kkt_residual(problem42, u)) <= roundoff
 
     def test_forms_p_inverse_once(self, problem42, monkeypatch):
-        # P^{-1} is formed once per solve, whatever the sweep count, and not
-        # at all when the start already meets the threshold
+        # P^{-1} is applied once per solve, to one block, whatever the sweep
+        # count, and not at all when the start already meets the threshold
         calls = count_calls(monkeypatch, "apply_inverse")
         eng = make_engine(problem42, 1.0)
         for max_iter in (2, 100_000):
@@ -157,6 +157,27 @@ class TestSolve:
         calls.clear()
         trace = admm_solve(eng, u0=direct_solve(problem42))
         assert trace.iterations == 0 and calls == []
+
+    @pytest.mark.parametrize("max_iter", [None, 3], ids=["converged", "capped"])
+    def test_sweeps_take_no_fresh_residual(self, problem42, monkeypatch, max_iter):
+        # the loop reads each residual from its stacked product; M is applied
+        # to a vector only for the start and for the one confirmation that
+        # stops the run (here the first threshold hit confirms) or ends it
+        # capped, and to a block once in the set-up
+        calls = count_calls(monkeypatch, "kkt_matvec")
+        kwargs = {} if max_iter is None else {"max_iter": max_iter}
+        trace = admm_solve(make_engine(problem42, 1.0), **kwargs)
+        assert trace.iterations >= 3 and trace.converged == (max_iter is None)
+        assert len(calls) == 3
+
+    def test_runs_above_the_dense_guard(self):
+        # the sweep builds G's columns from blocks, so the total-dimension
+        # guard of the explicit constructions (400) does not apply
+        p = seeded_problem(210, 150, 50, 0.35, 3)
+        m, ell, _ = dtilde_extremes(p)
+        trace = admm_solve(make_engine(p, math.sqrt(m * ell)))
+        assert p.dim == 410 and trace.converged
+        assert abs(trace.residuals[-1] - kkt_residual(p, trace.solution)) <= 1e-12 * trace.residuals[0]
 
     def test_prop_estimate_dominates_seed42(self, problem42):
         m, ell, kappa = dtilde_extremes(problem42)
@@ -253,7 +274,8 @@ class TestSolve:
         # at beta = 1e-200 the first sweep overflows; the trace must not end in inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalError,
-            match="non-finite KKT residual at iteration 1; last finite iteration was 0",
+            match=r"^admm at beta=1e-200: non-finite KKT residual at iteration 1; "
+                  "last finite iteration was 0",
         ):
             admm_solve(make_engine(problem42, 1e-200))
 

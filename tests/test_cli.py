@@ -109,6 +109,9 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
         assert "RuntimeWarning" not in err
+        # the three solvers once gave three unrelated messages, none naming beta
+        tag = "admm" if method == "admm" else f"admm-gmres-{method[6:]}"
+        assert err.splitlines()[-1].startswith(f"numerical error: {tag} at beta=1e-200: ")
         assert not (tmp_path / "run.json").exists()
 
     def test_non_finite_data_names_block(self, tmp_path, problem_file, capsys):

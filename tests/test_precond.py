@@ -3,7 +3,7 @@ import pytest
 
 from admmgmres.admm import make_engine
 from admmgmres.core import SaddleProblem, assemble_kkt
-from admmgmres.precond import apply_inverse, assemble_precond
+from admmgmres.precond import apply_inverse, assemble_precond, sweep_columns
 from admmgmres.spectral import build_iteration_matrix
 from conftest import seeded_problem
 
@@ -55,6 +55,17 @@ class TestApplyInverse:
         for shape in ((problem42.dim + 1,), (problem42.dim + 1, 3)):
             with pytest.raises(ValueError, match="length"):
                 apply_inverse(make_engine(problem42, 1.0), np.zeros(shape))
+
+
+@pytest.mark.parametrize("dims", [(6, 4, 2), (7, 5, 5), (5, 5, 1), (1, 1, 1)])
+@pytest.mark.parametrize("beta", [1e-3, 0.7, 1e4])
+def test_sweep_columns_are_the_assembled_difference(dims, beta):
+    # bit for bit, signed zeros included, so G and the reports built on
+    # these columns do not move
+    p = seeded_problem(*dims, 0.5, 5)
+    eng = make_engine(p, beta)
+    cols = sweep_columns(eng)
+    assert cols.tobytes() == (assemble_precond(eng) - assemble_kkt(p))[:, p.nx :].tobytes()
 
 
 def test_spectral_radius_consistency(problem7):

@@ -10,6 +10,8 @@ reuses its problem's beta-independent pieces equals one that does not.
 Right-preconditioned GMRES is checked against plain ADMM for penalties
 within two orders of magnitude of [m, ell], the range over which the README
 promises penalty insensitivity; further out its roundoff grows with kappa_P.
+Over the same range a short ADMM solve is checked sweep by sweep against
+repeated :func:`admm_step`, the factored form of the sweep.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmgmres.admm import admm_solve, admm_step, make_engine
-from admmgmres.core import SaddleProblem
+from admmgmres.core import SaddleProblem, assemble_kkt, kkt_residual
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.randgen import GenSpec, random_problem
@@ -138,3 +140,30 @@ def test_right_gmres_never_trails_admm(case):
     slack = 1e-9 * np.linalg.norm(problem.rhs())
     assert np.all(gm.residuals[:n] <= ad.residuals[:n] + slack)
     assert gm.converged
+
+
+@PROPERTY
+@given(cases(span=1e2), st.integers(1, 8))
+def test_short_solve_follows_the_step_oracle(case, k):
+    # the solve sweeps through one stacked product and reads its residuals
+    # from it; the oracle steps through P^{-1} factor by factor and takes a
+    # fresh residual of every iterate.  The start's x block is nonzero, so
+    # the first residual reads it and no later iterate may.
+    problem, beta, rng = case
+    engine = make_engine(problem, beta)
+    u0 = rng.standard_normal(problem.dim)
+    trace = admm_solve(engine, u0=u0, max_iter=k)
+
+    iterates = [u0]
+    residuals = [kkt_residual(problem, u0)]
+    threshold = 1e-6 * max(residuals[0], np.linalg.norm(problem.rhs()))
+    while len(iterates) <= k and residuals[-1] > threshold:
+        iterates.append(admm_step(engine, iterates[-1]))
+        residuals.append(kkt_residual(problem, iterates[-1]))
+
+    assert trace.iterations == len(iterates) - 1
+    bound = TOL * np.linalg.cond(assemble_precond(engine), 2)
+    size = max(map(np.linalg.norm, iterates))
+    assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * size
+    slack = bound * (np.linalg.norm(assemble_kkt(problem), 2) * size + np.linalg.norm(problem.rhs()))
+    assert np.all(np.abs(trace.residuals - residuals) <= slack)
