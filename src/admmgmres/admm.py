@@ -14,6 +14,7 @@ pair; each sweep is then one mat-vec with it.  Varying beta mid-run is
 deliberately unsupported.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,8 +37,10 @@ class AdmmEngine:
     """Per-beta state: the problem, beta, and the two Cholesky factors.
 
     ``local_factor`` is the lower Cholesky factor of D + beta A'A,
-    ``global_factor`` the one of B'B.  Immutable once built; one engine can
-    serve any number of steps and concurrent solves.
+    ``global_factor`` the one of B'B, both stored in Fortran order so that
+    LAPACK reads them in place instead of copying them on every solve.
+    Immutable once built; one engine can serve any number of steps and
+    concurrent solves.
     """
 
     problem: object
@@ -89,7 +92,7 @@ def make_engine(problem, beta):
         raise NumericalError(
             "Cholesky factorization of the global block B'B failed"
         ) from exc
-    return AdmmEngine(problem, beta, local, glob)
+    return AdmmEngine(problem, beta, np.asfortranarray(local), np.asfortranarray(glob))
 
 
 def admm_step(engine, u):
@@ -147,8 +150,8 @@ class _Run:
         becomes the solution; without it the entry is an estimate and
         ``solution`` is None until :meth:`confirm` replaces it.
         """
-        res = float(np.linalg.norm(s))
-        if not res < np.inf:  # a norm is >= 0, so this is inf or nan
+        res = math.sqrt(s @ s)  # the bits of np.linalg.norm on a contiguous vector
+        if not math.isfinite(res):
             k = len(self.residuals)
             if k == 0:
                 raise NumericalError(
@@ -160,12 +163,12 @@ class _Run:
             )
         self.residuals.append(res)
         self.solution = u
-        return self.converged
+        return res <= self.threshold
 
     def confirm(self, u):
-        """Replace the last entry by the fresh residual r - M u of its iterate ``u``."""
+        """Replace the last entry by the fresh residual r - M u of ``u``; True once converged."""
         self.residuals.pop()
-        self.add(self.r - kkt_matvec(self.problem, u), u)
+        return self.add(self.r - kkt_matvec(self.problem, u), u)
 
     def trace(self, method_tag, beta):
         # copied: after zero iterations the solution is the caller's u0
@@ -210,11 +213,11 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
         T = np.concatenate((X, -kkt_matvec(problem, X, block=True)))
         T[dim:, -1] += r
         v = np.append(run.u0[nx:], 1.0)  # [z_k; y_k; 1]
-        while not run.converged and run.iterations < run.max_iter:
+        for _ in range(run.max_iter):
             w = T @ v
             v[:-1] = w[nx:dim]
-            if run.add(w[dim:]):
-                run.confirm(w[:dim])
+            if run.add(w[dim:]) and run.confirm(w[:dim]):
+                break
         if run.solution is None:
             run.confirm(w[:dim])
         return run.trace("admm", engine.beta)

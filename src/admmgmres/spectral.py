@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrs
 
 from .admm import make_engine
 from .core import assemble_kkt, check_beta
@@ -81,7 +81,7 @@ def _dtilde_eig(problem):
     """Eigen-decomposition of the symmetrized A D^{-1} A' (W = D-tilde^{-1})."""
     A, D = problem.A, problem.D
     L = np.linalg.cholesky(D)
-    W = A @ sla.cho_solve((L, True), A.T)
+    W = A @ dpotrs(L, A.T, lower=1)[0]  # A D^{-1} A', as in precond.apply_inverse
     W = 0.5 * (W + W.T)
     w, V = np.linalg.eigh(W)
     return w, V

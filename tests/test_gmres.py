@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmgmres.admm import admm_solve, make_engine
-from admmgmres.core import direct_solve, kkt_residual
-from admmgmres.gmres import LinearOperator, admm_gmres_solve, gmres
+from admmgmres.core import NumericalError, direct_solve, kkt_residual
+from admmgmres.gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
 from conftest import count_calls, random_dims, seeded_problem
@@ -19,6 +21,107 @@ def well_conditioned_op(n, seed):
     rng = np.random.default_rng(seed)
     M = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / math.sqrt(n)
     return matrix_op(M), M
+
+
+def numpy_scalar_gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
+    """GMRES with its Givens update on numpy scalars and an ``np.triu`` copy of R.
+
+    The formulation :func:`gmres` had before its rotations moved to Python
+    floats; kept as a bit-for-bit oracle.
+    """
+    n = op.dim
+    rhs = np.asarray(rhs, dtype=float)
+    m = n if max_iter is None else min(max_iter, n)
+    beta0 = np.linalg.norm(rhs)
+    if beta0 == 0.0:
+        return GmresResult(np.zeros(n), np.array([0.0]), 0, False)
+    V = np.zeros((n, m + 1))
+    H = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    V[:, 0] = rhs / beta0
+    g[0] = beta0
+    inner = [beta0]
+
+    def coefficients(k):
+        R = np.triu(H[:k, :k])
+        try:
+            return np.linalg.solve(R, g[:k])
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(R, g[:k], rcond=None)[0]
+
+    breakdown = False
+    k = 0
+    for j in range(m):
+        w = op(V[:, j])
+        for _ in range(2):
+            c = V[:, : j + 1].T @ w
+            H[: j + 1, j] += c
+            w -= V[:, : j + 1] @ c
+        hnext = np.linalg.norm(w)
+        if not np.isfinite(hnext) or not np.all(np.isfinite(H[: j + 2, j])):
+            raise NumericalError(f"non-finite Arnoldi entries at iteration {j + 1}")
+        H[j + 1, j] = hnext
+        if hnext > 100.0 * np.finfo(float).eps * np.linalg.norm(H[: j + 2, j]):
+            V[:, j + 1] = w / hnext
+        else:
+            breakdown = True
+        for i in range(j):
+            hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+            H[i, j] = hi
+        denom = np.hypot(H[j, j], H[j + 1, j])
+        if denom == 0.0:
+            cs[j], sn[j] = 1.0, 0.0
+        else:
+            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
+        H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
+        H[j + 1, j] = 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+        k = j + 1
+        inner.append(abs(g[k]))
+        stop = inner[-1] <= tol * beta0 or breakdown
+        if callback is not None:
+            stop = bool(callback(k, coefficients(k), V[:, :k])) or stop
+        if stop:
+            break
+    x = V[:, :k] @ coefficients(k)
+    return GmresResult(x, np.asarray(inner), k, breakdown)
+
+
+def rank_limited_system(n, rank, rng):
+    """A symmetric operator with ``rank`` distinct eigenvalues and a random rhs.
+
+    The Krylov space has dimension ``rank`` at most, so GMRES ends in a
+    happy breakdown by then.
+    """
+    levels = rng.uniform(0.5, 4.0, rank)
+    d = levels[np.arange(n) % rank]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * d) @ Q.T, rng.standard_normal(n)
+
+
+def gmres_matching_oracle(M, rhs, tol=0.0, max_iter=None, stop_at=None):
+    """:func:`gmres` on ``M``, checked bit for bit against the oracle; its result.
+
+    Both runs see the same operator; the callback's ``y`` at every step, the
+    inner residuals, ``breakdown``, the step count and the solution must agree.
+    """
+    runs = []
+    for solver in (gmres, numpy_scalar_gmres):
+        ys = []
+
+        def callback(k, y, basis, ys=ys):
+            ys.append(y.tobytes())
+            return k == stop_at
+
+        out = solver(matrix_op(M), rhs, tol=tol, max_iter=max_iter, callback=callback)
+        runs.append((out, ys, out.solution.tobytes(), out.inner_residuals.tobytes(),
+                     out.iterations, out.breakdown))
+    assert runs[0][1:] == runs[1][1:]
+    return runs[0][0]
 
 
 class TestGmres:
@@ -96,6 +199,59 @@ class TestGmres:
         out = gmres(op, rhs, tol=1e-16, max_iter=4)
         assert out.breakdown
         assert np.linalg.norm(M @ out.solution - rhs) <= 1e-12
+
+
+    def test_non_finite_entry_names_its_iteration(self):
+        # the new column is scanned only when its norm is not finite, and a
+        # NaN there must still raise, naming the step
+        M = well_conditioned_op(10, 6)[1]
+        calls = []
+
+        def apply(v):
+            calls.append(None)
+            w = M @ v
+            if len(calls) == 3:
+                w[4] = np.nan
+            return w
+
+        with pytest.raises(NumericalError, match="iteration 3"):
+            gmres(LinearOperator(10, apply), np.ones(10), tol=0.0)
+
+    def test_overflowing_column_norm_is_a_breakdown(self):
+        # every entry of the first column is finite but its norm overflows;
+        # the new direction is negligible against it, so GMRES stops there
+        M = np.array([[1e200, 0.0], [1.0, 1.0]])
+        with np.errstate(over="ignore"):
+            out = gmres_matching_oracle(M, np.array([1.0, 0.0]))
+        assert out.breakdown and out.iterations == 1
+        assert np.all(np.isfinite(out.solution))
+
+
+class TestBitsEqualTheNumpyScalarOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(0.0, 4.0),
+        tol=st.sampled_from([0.0, 1e-12, 1e-6]),
+        cap=st.one_of(st.none(), st.integers(1, 16)),
+        stop_at=st.one_of(st.none(), st.integers(1, 16)),
+    )
+    def test_random_dense_operators(self, n, seed, shift, tol, cap, stop_at):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n)) + shift * np.eye(n)
+        gmres_matching_oracle(M, rng.standard_normal(n), tol, cap, stop_at)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 16), rank=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+    def test_rank_limited_rhs(self, n, rank, seed):
+        M, rhs = rank_limited_system(n, min(rank, n - 1), np.random.default_rng(seed))
+        gmres_matching_oracle(M, rhs)
+
+    @pytest.mark.parametrize("n, rank", [(6, 2), (12, 3), (16, 5)])
+    def test_rank_limited_rhs_ends_in_breakdown(self, n, rank):
+        M, rhs = rank_limited_system(n, rank, np.random.default_rng(n))
+        assert gmres_matching_oracle(M, rhs).breakdown
 
 
 class TestAdmmGmres:

@@ -1,11 +1,31 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from admmgmres.admm import make_engine
 from admmgmres.core import SaddleProblem, assemble_kkt
 from admmgmres.precond import apply_inverse, assemble_precond, sweep_columns
 from admmgmres.spectral import build_iteration_matrix
 from conftest import seeded_problem
+
+
+def cho_solve_apply_inverse(engine, v):
+    """P(beta)^{-1} v through ``scipy.linalg.cho_solve`` and C-ordered factors.
+
+    The formulation :func:`apply_inverse` had before it called LAPACK's
+    ``dpotrs`` directly; kept as a bit-for-bit oracle.
+    """
+    p, beta = engine.problem, engine.beta
+    A, B = p.A, p.B
+    nx, nz = p.nx, p.nz
+    v1, v2, v3 = v[:nx], v[nx : nx + nz], v[nx + nz :]
+    w1 = v1 + beta * (A.T @ v3)
+    w2 = v2 + beta * (B.T @ v3)
+    x = sla.cho_solve((np.ascontiguousarray(engine.local_factor), True), w1)
+    L = np.ascontiguousarray(engine.global_factor)
+    z = sla.cho_solve((L, True), w2 / beta - B.T @ (A @ x))
+    y = beta * (A @ x + B @ z - v3)
+    return np.concatenate([x, z, y])
 
 
 class TestExplicitForm:
@@ -49,6 +69,34 @@ class TestApplyInverse:
             lhs = u - apply_inverse(eng, M @ u)
             rhs = G @ u
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (6, 4, 2), (12, 9, 9), (40, 25, 7)])
+    @pytest.mark.parametrize("beta", [1e-6, 0.3, 1.0, 2e5])
+    def test_bits_equal_the_cho_solve_oracle(self, dims, beta):
+        # vectors, C- and F-ordered blocks, and the column_stack block that
+        # admm_solve applies P^{-1} to once per solve
+        p = seeded_problem(*dims, 0.7, sum(dims))
+        eng = make_engine(p, beta)
+        rng = np.random.default_rng(len(dims) + p.dim)
+        blocks = [
+            rng.standard_normal(p.dim),
+            p.rhs(),
+            rng.standard_normal((p.dim, 3)),
+            np.asfortranarray(rng.standard_normal((p.dim, 4))),
+            np.column_stack((sweep_columns(eng), p.rhs())),
+        ]
+        for v in blocks:
+            out = apply_inverse(eng, v)
+            assert out.shape == v.shape
+            assert np.array_equal(out, cho_solve_apply_inverse(eng, v))
+
+    def test_non_finite_input_propagates(self, problem42):
+        # no finiteness scan: a NaN comes back as NaN for the solvers'
+        # residual checks to report, instead of scipy's ValueError
+        v = np.ones(problem42.dim)
+        v[0] = np.nan
+        out = apply_inverse(make_engine(problem42, 1.0), v)
+        assert np.isnan(out).any()
 
     def test_length_check(self, problem42):
         # a (dim + 1, k) block is refused like a (dim + 1,) vector

@@ -11,7 +11,9 @@ Right-preconditioned GMRES is checked against plain ADMM for penalties
 within two orders of magnitude of [m, ell], the range over which the README
 promises penalty insensitivity; further out its roundoff grows with kappa_P.
 Over the same range a short ADMM solve is checked sweep by sweep against
-repeated :func:`admm_step`, the factored form of the sweep.
+repeated :func:`admm_step`, the factored form of the sweep, and the iterate
+each solver returns is checked against :func:`direct_solve` through the
+forward-error bound ||u - u*|| <= ||M^{-1}||_2 ||M u - r||.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmgmres.admm import admm_solve, admm_step, make_engine
-from admmgmres.core import SaddleProblem, assemble_kkt, kkt_residual
+from admmgmres.core import SaddleProblem, assemble_kkt, direct_solve, kkt_residual
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.randgen import GenSpec, random_problem
@@ -167,3 +169,25 @@ def test_short_solve_follows_the_step_oracle(case, k):
     assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * size
     slack = bound * (np.linalg.norm(assemble_kkt(problem), 2) * size + np.linalg.norm(problem.rhs()))
     assert np.all(np.abs(trace.residuals - residuals) <= slack)
+
+
+@PROPERTY
+@given(cases(span=1e2), st.sampled_from(["admm", "left", "right"]))
+def test_solution_is_as_close_as_its_residual_allows(case, method):
+    # u - u* = M^{-1} (M u - r) for the exact u*, so the returned iterate is
+    # within ||M u - r|| / sigma_min(M) of it, converged or not; the solver's
+    # last recorded residual is that ||M u - r||, so a solution that does not
+    # match it fails.  Roundoff: the recorded residual is off by about
+    # dim eps (||M|| ||u|| + ||r||), and direct_solve and sigma_min by about
+    # dim eps kappa(M) relative; rho covers both ten times over.
+    problem, beta, _ = case
+    if method == "admm":
+        trace = admm_solve(make_engine(problem, beta), max_iter=20_000)
+    else:
+        trace = admm_gmres_solve(problem, beta, method)
+    M = assemble_kkt(problem)
+    u, exact = trace.solution, direct_solve(problem)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    rho = 10 * problem.dim * np.finfo(float).eps * sigma[0] / sigma[-1]
+    bound = (1 + rho) * trace.residuals[-1] / sigma[-1]
+    assert np.linalg.norm(u - exact) <= bound + rho * (np.linalg.norm(u) + np.linalg.norm(exact))
