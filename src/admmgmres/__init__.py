@@ -45,7 +45,6 @@ from .spectral import (
     classify_and_verify,
     conditioning_factors,
     dtilde_extremes,
-    schur_pieces,
 )
 
 __all__ = [
@@ -86,7 +85,6 @@ __all__ = [
     "rho_factor",
     "sample_beta",
     "save_problem",
-    "schur_pieces",
     "theorem_curve",
     "two_interval_bound",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, check_beta, check_max_iter, kkt_matvec
+from .core import NumericalError, check_beta, check_epsilon, check_max_iter, kkt_matvec
 from .precond import apply_inverse, sweep_columns
 
 __all__ = [
@@ -123,10 +123,8 @@ class _Run:
     """
 
     def __init__(self, problem, u0, epsilon, max_iter):
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        self.epsilon = check_epsilon(epsilon)
         self.max_iter = check_max_iter(max_iter)
-        self.epsilon = epsilon
         self.problem = problem
         self.u0 = np.zeros(problem.dim) if u0 is None else u0
         self.r = problem.rhs()

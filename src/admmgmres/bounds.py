@@ -16,9 +16,11 @@ to k.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .core import check_epsilon
 
 __all__ = [
     "C0",
@@ -27,9 +29,7 @@ __all__ = [
     "interval_bound",
     "two_interval_bound",
     "two_interval_split_ratio",
-    "two_interval_polynomial",
     "disk_interval_bound",
-    "disk_interval_polynomial",
     "rho_factor",
     "theorem_curve",
     "curve_to_csv",
@@ -142,22 +142,6 @@ def two_interval_bound(k, c, a):
     return lower, upper, k - eta, eta
 
 
-def two_interval_polynomial(c, a, eta, xi):
-    """Witness polynomial for :func:`two_interval_bound`, as a callable.
-
-    p(z) = ((z+c)/(1+c))^eta * T_xi((z-c)/a) / |T_xi((1-c)/a)|; p(1) = 1.
-    """
-    if a <= 0:
-        raise ValueError("witness polynomial needs a > 0")
-    denom = abs(cheb(xi, (1.0 - c) / a))
-
-    def p(z):
-        z = np.asarray(z, dtype=float)
-        return ((z + c) / (1.0 + c)) ** eta * cheb(xi, (z - c) / a) / denom
-
-    return p
-
-
 def disk_interval_bound(k, a_disk, a_int):
     """Min-max bound over {|z| <= a_disk} union [-a_int, a_int], p(1) = 1.
 
@@ -179,19 +163,6 @@ def disk_interval_bound(k, a_disk, a_int):
     mono = (k_i - 1.0) / (k_i + 1.0)
     chev = (math.sqrt(k_i) - 1.0) / (math.sqrt(k_i) + 1.0)
     return 2.0 * mono**eta * chev**xi, eta, xi
-
-
-def disk_interval_polynomial(a_int, eta, xi):
-    """Witness polynomial z^eta * T_xi(z/a_int)/|T_xi(1/a_int)| (complex ok)."""
-    if a_int <= 0:
-        raise ValueError("witness polynomial needs a_int > 0")
-    denom = abs(cheb(xi, 1.0 / a_int))
-
-    def p(z):
-        z = np.asarray(z)
-        return z**eta * cheb(xi, z / a_int) / denom
-
-    return p
 
 
 def rho_factor(gamma, kappa):
@@ -227,11 +198,10 @@ class BoundCurve:
 
     values: np.ndarray
     kind: str
-    params: dict = field(default_factory=dict)
 
 
 def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
-    """Evaluate one published bound curve on iterations 0..k_max.
+    """Evaluate one published bound curve on iterations 0..k_max, k_max >= 0.
 
     ``factors`` is the tuple (c1, kappa_P, kappa_X, kappa_M) from
     :func:`admmgmres.spectral.conditioning_factors`.
@@ -245,6 +215,9 @@ def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
     flat marker):
         2 + ceil((sqrt(kappa)+1) * log(c1 kappa_M / epsilon))
     """
+    check_epsilon(epsilon)
+    if k_max < 0:
+        raise ValueError(f"k_max must be at least 0, got {k_max}")
     c1, kappa_p, kappa_x, kappa_m = factors
     kappa = ell / m
     k = np.arange(int(k_max) + 1, dtype=float)
@@ -273,17 +246,7 @@ def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
     else:
         raise ValueError(f"unknown curve kind {kind!r}")
 
-    params = {
-        "beta": beta,
-        "m": m,
-        "ell": ell,
-        "c1": c1,
-        "kappa_P": kappa_p,
-        "kappa_X": kappa_x,
-        "kappa_M": kappa_m,
-        "epsilon": epsilon,
-    }
-    return BoundCurve(values=values, kind=kind, params=params)
+    return BoundCurve(values=values, kind=kind)
 
 
 def curve_to_csv(curve):

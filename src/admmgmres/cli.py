@@ -26,7 +26,8 @@ import numpy as np
 
 from .admm import admm_solve, make_engine
 from .bounds import curve_to_csv, theorem_curve
-from .core import NumericalError, check_beta, load_problem, problem_from_dict, save_problem
+from .core import (NumericalError, check_beta, check_epsilon, check_max_iter, load_problem,
+                   problem_from_dict, save_problem)
 from .gmres import admm_gmres_solve
 from .randgen import GenSpec, random_problem, sample_beta
 from .spectral import classify_and_verify, dtilde_extremes
@@ -86,7 +87,10 @@ def _resolve_beta(problem, text):
         m, ell, _ = dtilde_extremes(problem)
         return math.sqrt(m * ell)
     if text.startswith("random:"):
-        return sample_beta(int(text.split(":", 1)[1]))
+        seed = text[len("random:"):]
+        if not (seed.isascii() and seed.isdigit()):
+            raise ValueError(f"--beta random:SEED needs a nonnegative integer seed, got {text!r}")
+        return sample_beta(int(seed))
     return check_beta(text)
 
 
@@ -252,6 +256,16 @@ def _csv_cell(value):
 
 
 def cmd_scaling(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    if args.dim_max < 1:
+        raise ValueError(f"--dim-max must be at least 1, got {args.dim_max}")
+    if not 0 <= args.s_max < math.inf:
+        raise ValueError(f"--s-max must be finite and nonnegative, got {args.s_max}")
+    check_epsilon(args.eps)
+    check_max_iter(args.max_iter)
     lines = [",".join(_SCALING_COLUMNS)]
     for row in _scaling_rows(args):
         lines.append(",".join(_csv_cell(row[column]) for column in _SCALING_COLUMNS))

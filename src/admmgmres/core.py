@@ -57,6 +57,13 @@ def check_beta(beta):
     return beta
 
 
+def check_epsilon(epsilon):
+    """Return the tolerance ``epsilon``; raise unless it lies in (0, 1)."""
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
+
+
 def check_max_iter(max_iter):
     """Return ``max_iter``; raise unless it is an integer of at least 1."""
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
@@ -89,6 +96,10 @@ class SaddleProblem:
         input; a warning is emitted if the asymmetry exceeds 1e-12 relative
         (round-trips through text formats lose symmetry in the last digits).
     r_x, r_z, r_y : right-hand side blocks of lengths nx, nz, ny.
+
+    Attributes
+    ----------
+    nx, ny, nz, dim : block sizes and the stacked total nx + nz + ny.
 
     Notes
     -----
@@ -160,29 +171,13 @@ class SaddleProblem:
                 f"vs largest {wd[-1]:.3e}"
             )
 
-        vars(self).update(A=A, B=B, D=D, r_x=r_x, r_z=r_z, r_y=r_y)
+        vars(self).update(A=A, B=B, D=D, r_x=r_x, r_z=r_z, r_y=r_y,
+                          nx=nx, ny=ny, nz=nz, dim=nx + nz + ny)
         for arr in (A, B, D, r_x, r_z, r_y):
             arr.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SaddleProblem is frozen; cannot set {name!r}")
-
-    @property
-    def nx(self):
-        return self.A.shape[1]
-
-    @property
-    def ny(self):
-        return self.A.shape[0]
-
-    @property
-    def nz(self):
-        return self.B.shape[1]
-
-    @property
-    def dim(self):
-        """Total dimension nx + nz + ny of the stacked system."""
-        return self.nx + self.nz + self.ny
 
     def rhs(self):
         """Stacked right-hand side [r_x; r_z; r_y]."""

@@ -9,7 +9,7 @@ results do not depend on draw order.  The generator algorithm is pinned to
 numpy's default PCG64.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,19 +34,13 @@ class GenSpec:
                 f"need 1 <= nz <= ny <= nx, got nx={self.nx}, ny={self.ny}, "
                 f"nz={self.nz}"
             )
-        if self.s < 0:
-            raise ValueError(f"spread s must be nonnegative, got {self.s}")
+        if not 0 <= self.s < np.inf:
+            raise ValueError(f"spread s must be finite and nonnegative, got {self.s}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def provenance(self):
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "nz": self.nz,
-            "s": self.s,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def haar_orthogonal(n, rng):

@@ -1,8 +1,8 @@
 """Explicit spectral analysis of the ADMM iteration.
 
-Provides the dense iteration matrix G(beta), its block-Schur pieces, the
-ny x ny inner kernel K(beta) whose eigenvalues drive both ADMM and
-ADMM-GMRES, eigenvalue-enclosure verification by parameter regime, and the
+Provides the dense iteration matrix G(beta), the ny x ny inner kernel
+K(beta) whose eigenvalues drive both ADMM and ADMM-GMRES,
+eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.
 
@@ -37,11 +37,9 @@ from .core import assemble_kkt, check_beta
 from .precond import apply_inverse, assemble_precond, check_dense, sweep_columns
 
 __all__ = [
-    "SchurPieces",
     "KernelBlocks",
     "SpectralReport",
     "dtilde_extremes",
-    "schur_pieces",
     "build_iteration_matrix",
     "build_k_matrix",
     "classify_and_verify",
@@ -56,6 +54,9 @@ _IM_RTOL = 1e-8
 # Absolute slack for enclosure membership; interval endpoints suffer
 # subtractive cancellation at large condition numbers.
 _ENCLOSURE_SLACK = 1e-7
+
+# Eigenvector matrices conditioned worse than this count as numerically singular.
+_EIGVEC_CUTOFF = 1e12
 
 
 # (weak reference to a problem, {piece name: value}) for the most recent
@@ -99,59 +100,18 @@ def dtilde_extremes(problem):
     return m, ell, ell / m
 
 
-@dataclass
-class SchurPieces:
-    """Orthogonal and scaling factors of the block-Schur form of G(beta).
+def _b_factors(problem):
+    """Q and its complement from the QR factors of B, and the singular values of R.
 
-    Q (ny x nz) and R (nz x nz, upper triangular with nonnegative diagonal)
-    are the QR factors of B; P (ny x (ny - nz)) is the orthogonal
-    complement, taken from the trailing columns of the full QR factor.
-    U is orthogonal of full dimension and S is the invertible block
-    scaling such that S (U' G U) S^{-1} is block upper triangular with
-    zero leading nx x nx and trailing nz x nz diagonal blocks.
+    R is sign-normalized to a nonnegative diagonal, with the matching
+    columns of Q flipped, so that B = Q R keeps one canonical Q.
     """
-
-    Q: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
-    U: np.ndarray
-    S: np.ndarray
-
-
-def _qr_complement(B):
-    Qfull, Rfull = np.linalg.qr(B, mode="complete")
-    nz = B.shape[1]
+    nz = problem.nz
+    Qfull, Rfull = np.linalg.qr(problem.B, mode="complete")
     signs = np.sign(np.diag(Rfull[:nz, :]))
     signs[signs == 0] = 1.0
-    Qfull = Qfull.copy()
-    Qfull[:, :nz] *= signs
     R = Rfull[:nz, :] * signs[:, None]
-    return Qfull[:, :nz], Qfull[:, nz:], R
-
-
-def _b_factors(problem):
-    """Q and its complement from the QR factors of B, and the singular values of R."""
-    Q, Qc, R = _qr_complement(problem.B)
-    return Q, Qc, np.linalg.svd(R, compute_uv=False)
-
-
-def schur_pieces(problem, beta):
-    beta = check_beta(beta)
-    nx, nz, ny = problem.nx, problem.nz, problem.ny
-    Q, P, R = _qr_complement(problem.B)
-    dim = problem.dim
-
-    U = np.zeros((dim, dim))
-    U[:nx, :nx] = np.eye(nx)
-    U[nx : nx + nz, nx : nx + nz] = np.eye(nz)
-    U[nx + nz :, nx + nz : nx + nz + (ny - nz)] = P
-    U[nx + nz :, nx + nz + (ny - nz) :] = Q
-
-    S = np.zeros((dim, dim))
-    S[:nx, :nx] = beta * np.eye(nx)
-    S[nx : nx + nz, nx : nx + nz] = beta * R
-    S[nx + nz :, nx + nz :] = np.eye(ny)
-    return SchurPieces(Q=Q, P=P, R=R, U=U, S=S)
+    return Qfull[:, :nz] * signs, Qfull[:, nz:], np.linalg.svd(R, compute_uv=False)
 
 
 def build_iteration_matrix(problem, beta):
@@ -206,7 +166,7 @@ def build_k_matrix(problem, beta):
     return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
 
 
-def eigvec_condition(K, nz=None, cutoff=1e12):
+def eigvec_condition(K, nz=None):
     """Condition number of an eigenvector matrix of K, or None.
 
     The value depends on the column scaling of the eigenvector matrix, so
@@ -214,12 +174,12 @@ def eigvec_condition(K, nz=None, cutoff=1e12):
     basis from the dense eigensolver, a norm-balanced rescaling of it, and,
     when J K (or -J K) is positive definite, the similarity construction
     that symmetrizes K and is provably well conditioned in that regime.
-    Returns None when every candidate exceeds ``cutoff``.
+    Returns None when every candidate exceeds 1e12.
     """
-    return _eigvec_condition(K, np.linalg.eig(K)[1], nz, cutoff)
+    return _eigvec_condition(K, np.linalg.eig(K)[1], nz)
 
 
-def _eigvec_condition(K, X, nz, cutoff=1e12):
+def _eigvec_condition(K, X, nz):
     """:func:`eigvec_condition` for the eigenvector matrix X of K."""
     candidates = []
     try:
@@ -255,7 +215,7 @@ def _eigvec_condition(K, X, nz, cutoff=1e12):
     if not finite:
         return None
     best = min(finite)
-    return None if best > cutoff else float(best)
+    return None if best > _EIGVEC_CUTOFF else float(best)
 
 
 @dataclass
@@ -342,9 +302,8 @@ def classify_and_verify(problem, beta):
     # The x columns of G are exact zeros; its norm needs only the others.
     G = apply_inverse(engine, sweep_columns(engine))
 
+    m, ell, kappa = dtilde_extremes(problem)
     w, V = _piece(problem, "eig", _dtilde_eig)
-    m, ell = 1.0 / w[-1], 1.0 / w[0]
-    kappa = ell / m
     gamma = max(beta / m, ell / beta)
     Q, Qc, sigma = _piece(problem, "B", _b_factors)
     K = _kernel(beta, w, V, Q, Qc)

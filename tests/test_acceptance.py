@@ -16,11 +16,9 @@ from admmgmres.admm import admm_solve, make_engine
 from admmgmres.bounds import (
     cheb,
     disk_interval_bound,
-    disk_interval_polynomial,
     interval_bound,
     theorem_curve,
     two_interval_bound,
-    two_interval_polynomial,
 )
 from admmgmres.cli import fit_scaling_exponent, main
 from admmgmres.gmres import admm_gmres_solve
@@ -31,6 +29,7 @@ from admmgmres.spectral import (
     conditioning_factors,
     dtilde_extremes,
 )
+from oracles import disk_interval_polynomial, two_interval_polynomial
 
 
 @contextmanager

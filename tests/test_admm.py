@@ -19,9 +19,9 @@ from admmgmres.spectral import (
     build_k_matrix,
     conditioning_factors,
     dtilde_extremes,
-    schur_pieces,
 )
 from conftest import count_calls, extremes_problem, random_dims, seeded_problem
+from oracles import schur_pieces
 
 
 def square_identity_problem():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,19 +6,19 @@ import pytest
 
 from admmgmres.bounds import (
     C0,
+    BoundCurve,
     cheb,
     curve_to_csv,
     disk_interval_bound,
-    disk_interval_polynomial,
     interval_bound,
     rho_factor,
     theorem_curve,
     two_interval_bound,
-    two_interval_polynomial,
     two_interval_split_ratio,
 )
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.spectral import conditioning_factors, dtilde_extremes
+from oracles import disk_interval_polynomial, two_interval_polynomial
 
 
 class TestCheb:
@@ -214,9 +215,10 @@ class TestTheoremCurve:
         return conditioning_factors(problem, beta)
 
     def test_iteration_estimate_substitution(self):
-        # kappa = 1 and c1 * kappa_M / eps = e gives 2 + ceil(2) = 4
+        # kappa = 1 and c1 * kappa_M / eps = e gives 2 + ceil(2) = 4 (all exact:
+        # halving and doubling by a power of two)
         curve = theorem_curve("prop5", 5, 1.0, 1.0, 1.0,
-                              (math.e, 1.0, 1.0, 1.0), 1.0)
+                              (math.e, 1.0, 1.0, 0.5), 0.5)
         assert np.all(curve.values == 4.0)
         assert curve.kind == "prop5"
 
@@ -265,8 +267,22 @@ class TestTheoremCurve:
         with pytest.raises(ValueError, match="kind"):
             theorem_curve("thm8", 5, 1.0, m, ell, factors, 1e-6)
 
+    @pytest.mark.parametrize("k_max, epsilon, name", [
+        (5, 0.0, "epsilon"), (5, -1.0, "epsilon"), (5, 1.0, "epsilon"), (5, 2.0, "epsilon"),
+        (5, math.nan, "epsilon"), (-3, 1e-6, "k_max"),
+    ])
+    def test_input_validation(self, k_max, epsilon, name):
+        # eps 0 once raised ZeroDivisionError, eps -1 "math domain error", and
+        # eps 2 or k_max -3 returned a curve (the latter an empty one)
+        with pytest.raises(ValueError, match=name):
+            theorem_curve("prop5", k_max, 1.0, 1.0, 1.0, (math.e, 1.0, 1.0, 1.0), epsilon)
+
+    def test_curve_holds_only_its_values_and_kind(self):
+        # a params dict of the inputs was once filled on every curve and never read
+        assert [f.name for f in dataclasses.fields(BoundCurve)] == ["values", "kind"]
+
     def test_csv_serialization(self):
-        curve = theorem_curve("prop5", 2, 1.0, 1.0, 1.0, (math.e, 1.0, 1.0, 1.0), 1.0)
+        curve = theorem_curve("prop5", 2, 1.0, 1.0, 1.0, (math.e, 1.0, 1.0, 0.5), 0.5)
         text = curve_to_csv(curve)
         lines = text.strip().split("\n")
         assert lines[0] == "k,value,kind"

@@ -89,8 +89,9 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
     def test_invalid_beta(self, problem_file, capsys):
-        # 1e-310 once exited 2 with scipy's "array must not contain infs or NaNs"
-        for beta in ("-1", "grmbl", "inf", "1e-310"):
+        # 1e-310 once exited 2 with scipy's "array must not contain infs or NaNs",
+        # random:abc with int()'s message, which did not name --beta
+        for beta in ("-1", "grmbl", "inf", "1e-310", "random:abc", "random:-1"):
             assert main(["solve", str(problem_file), "--beta", beta]) == 2
             assert "beta" in capsys.readouterr().err.splitlines()[-1]
 
@@ -302,3 +303,33 @@ def test_beta_with_infinite_reciprocal_names_beta(problem_file, capsys, command)
     # once exited 2 with scipy's "array must not contain infs or NaNs"
     assert main([command[0], str(problem_file), *command[1:], "--beta", "1e-310"]) == 2
     assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["bounds", "PROBLEM", "--kind", "prop5", "--eps", "0"], "epsilon"),
+    (["bounds", "PROBLEM", "--kind", "prop5", "--eps", "-1"], "epsilon"),
+    (["bounds", "PROBLEM", "--kind", "prop5", "--eps", "2"], "epsilon"),
+    (["bounds", "PROBLEM", "--kind", "prop5", "--k-max", "-3"], "k_max"),
+    (["scaling", "--count", "-1"], "--count"),
+    (["scaling", "--seed", "-1"], "--seed"),
+    (["scaling", "--dim-max", "0"], "--dim-max"),
+    (["scaling", "--s-max", "-1"], "--s-max"),
+    (["scaling", "--s-max", "nan"], "--s-max"),
+    (["scaling", "--eps", "0"], "epsilon"),
+    (["scaling", "--max-iter", "0"], "max_iter"),
+    (["gen", "--nx", "6", "--ny", "4", "--nz", "2", "--seed", "1", "--s", "nan"], "spread s"),
+], ids=["bounds-eps-0", "bounds-eps-negative", "bounds-eps-2", "bounds-k-max-negative",
+        "scaling-count-negative", "scaling-seed-negative", "scaling-dim-max-0", "scaling-s-max-negative",
+        "scaling-s-max-nan", "scaling-eps-0", "scaling-max-iter-0", "gen-s-nan"])
+def test_bad_flag_exits_2_and_names_it(tmp_path, problem_file, capsys, argv, name):
+    # bounds once raised ZeroDivisionError (eps 0), said only "math domain error"
+    # (eps -1) or exited 0 (eps 2, k-max -3); scaling died in SeedSequence.spawn
+    # (count -1), said only "expected non-negative integer" (seed -1), "low >=
+    # high" (dim-max 0) or "high - low < 0" (s-max -1), or exited 0 with every
+    # row failed (eps 0, max-iter 0); gen blamed nan on block A
+    out = tmp_path / "out"
+    argv = [str(problem_file) if arg == "PROBLEM" else arg for arg in argv]
+    assert main(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err.splitlines()[-1] and "Traceback" not in err
+    assert not out.exists()

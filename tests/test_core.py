@@ -176,7 +176,7 @@ class TestValidation:
     def test_attributes_cannot_be_rebound(self, problem42):
         # reports reuse a problem's factorizations, so its data must not change
         other = seeded_problem(6, 4, 2, 0.5, 7)
-        for name in ("A", "B", "D", "r_x", "r_z", "r_y"):
+        for name in ("A", "B", "D", "r_x", "r_z", "r_y", "nx", "ny", "nz", "dim"):
             with pytest.raises(AttributeError, match="frozen"):
                 setattr(problem42, name, getattr(other, name))
 

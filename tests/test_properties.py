@@ -34,8 +34,8 @@ from admmgmres.spectral import (
     classify_and_verify,
     conditioning_factors,
     dtilde_extremes,
-    schur_pieces,
 )
+from oracles import schur_pieces
 
 TOL = 1e3 * np.finfo(float).eps
 

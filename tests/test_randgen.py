@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ class TestGenSpec:
     def test_rejects_negative_spread(self):
         with pytest.raises(ValueError, match="s must be"):
             GenSpec(nx=4, ny=3, nz=2, s=-0.1, seed=1)
+        # nan once passed and was later blamed on block A
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="s must be finite"):
+                GenSpec(nx=4, ny=3, nz=2, s=s, seed=1)
 
     def test_provenance_fields(self):
         spec = GenSpec(nx=6, ny=4, nz=2, s=0.5, seed=42)

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import sys
@@ -18,9 +19,9 @@ from admmgmres.spectral import (
     conditioning_factors,
     dtilde_extremes,
     eigvec_condition,
-    schur_pieces,
 )
 from conftest import extremes_problem, random_dims, seeded_problem
+from oracles import schur_pieces
 
 
 def complex_disk_radius(K, nz, grid_step=1e-3, refine_iters=60):
@@ -314,6 +315,8 @@ class TestConditioningFactors:
     def test_eigvec_condition_none_for_defective(self):
         K = np.array([[0.5, 1.0], [0.0, 0.5]])  # Jordan block, not diagonalizable
         assert eigvec_condition(K, 1) is None
+        # the cutoff is a module constant: the one value ever passed was the default
+        assert list(inspect.signature(eigvec_condition).parameters) == ["K", "nz"]
 
     def test_dimension_guard(self):
         p = seeded_problem(150, 140, 120, 0.2, 1)
