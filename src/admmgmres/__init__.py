@@ -6,13 +6,7 @@ convergence bounds, a deterministic random problem generator, and a
 benchmark command line.
 """
 
-from .admm import (
-    AdmmEngine,
-    IterationTrace,
-    admm_solve,
-    admm_step,
-    make_engine,
-)
+from .admm import IterationTrace, admm_solve, admm_step
 from .bounds import (
     BoundCurve,
     cheb,
@@ -36,7 +30,7 @@ from .core import (
     save_problem,
 )
 from .gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
-from .precond import apply_inverse, assemble_precond
+from .precond import AdmmEngine, apply_inverse, assemble_precond, make_engine
 from .randgen import GenSpec, haar_orthogonal, random_problem, sample_beta
 from .spectral import (
     SpectralReport,

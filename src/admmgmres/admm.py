@@ -1,17 +1,9 @@
-"""Fixed-parameter ADMM on the saddle-point KKT system.
+"""Fixed-parameter ADMM on the saddle-point KKT system, and the record every solver returns.
 
-For a fixed penalty beta > 0 the three update steps (local solve, global
-solve, multiplier update) are linear, so the sweep is the affine
-fixed-point map u -> G(beta) u + b(beta) with G = P^{-1} (P - M), and one
-sweep is exactly u + P^{-1} (r - M u).  The x columns of G are zero, so the
-next iterate depends only on the z and y parts of the last one.
-:func:`admm_solve` stacks the nonzero columns of G, b and their M-images
-into one matrix of 2 dim (nz + ny + 1) doubles (1.19 MB at dimension 390),
-formed once per solve by one block
-:func:`admmgmres.precond.apply_inverse` with the Cholesky factorizations of
-D + beta A'A and B'B that the engine computed once per (problem, beta)
-pair; each sweep is then one mat-vec with it.  Varying beta mid-run is
-deliberately unsupported.
+The sweep is the affine map of :mod:`admmgmres.precond`, run by
+:func:`admm_solve`; both it and :func:`admmgmres.gmres.admm_gmres_solve`
+return an :class:`IterationTrace`.  Varying beta mid-run is deliberately
+unsupported.
 """
 
 import math
@@ -20,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, check_beta, check_epsilon, check_max_iter, kkt_matvec
-from .precond import apply_inverse, sweep_columns
+from .core import NumericalError, check_epsilon, check_max_iter, kkt_matvec
+from .precond import AdmmEngine, apply_inverse, make_engine, sweep_columns  # engine re-exported
 
 __all__ = [
     "AdmmEngine",
@@ -33,37 +25,23 @@ __all__ = [
 
 
 @dataclass
-class AdmmEngine:
-    """Per-beta state: the problem, beta, and the two Cholesky factors.
-
-    ``local_factor`` is the lower Cholesky factor of D + beta A'A,
-    ``global_factor`` the one of B'B, both stored in Fortran order so that
-    LAPACK reads them in place instead of copying them on every solve.
-    Immutable once built; one engine can serve any number of steps and
-    concurrent solves.
-    """
-
-    problem: object
-    beta: float
-    local_factor: np.ndarray
-    global_factor: np.ndarray
-
-
-@dataclass
 class IterationTrace:
     """KKT residual history and final iterate of one solve.
 
     ``residuals[k]`` is the KKT residual norm ||M u_k - r|| at iterate k,
     starting with the initial point, so its length is ``iterations + 1``.
-    Both solvers record the residual they read from products they already
-    form (ADMM from its stacked sweep matrix, GMRES from the Arnoldi
-    images), which equals the true one up to roundoff, and replace it with
-    a fresh ||M u_k - r|| whenever it meets the threshold and as the last
-    entry; only a fresh value stops a run (see :func:`admm_solve` and
-    :func:`admmgmres.gmres.admm_gmres_solve`).  ``converged`` records the
-    relative-to-initial residual test at the tolerance ``epsilon`` (see
-    :func:`admm_solve`).  ``solution`` is the final stacked iterate u_k,
-    the one whose fresh residual is ``residuals[-1]``.
+    Each solver reads the entry from a product it already forms, which
+    equals the true residual up to roundoff (how each does so is told in
+    :func:`admm_solve` and :func:`admmgmres.gmres.admm_gmres_solve`).  A
+    fresh ||M u_k - r|| replaces it whenever it meets the threshold and as
+    the last entry, and only a fresh value stops a run.  The threshold is
+    ``epsilon`` times the larger of the initial residual and ||r||: relative
+    to the start, with a floor so that a warm start at (or numerically at)
+    the solution stops at once instead of chasing roundoff; from zero both
+    references coincide.  ``converged`` records that test on the last
+    entry, and ``solution`` is the final stacked iterate u_k, the one whose
+    fresh residual is ``residuals[-1]``.  A non-finite residual raises
+    :class:`NumericalError` naming the method and beta.
     """
 
     residuals: np.ndarray
@@ -73,26 +51,6 @@ class IterationTrace:
     method_tag: str
     beta: float
     solution: np.ndarray
-
-
-def make_engine(problem, beta):
-    """Factor the two sub-solve operators for a fixed beta > 0."""
-    beta = check_beta(beta)
-    A, B, D = problem.A, problem.B, problem.D
-    try:
-        local = np.linalg.cholesky(D + beta * (A.T @ A))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"Cholesky factorization of the local block D + beta A'A failed "
-            f"at beta={beta}"
-        ) from exc
-    try:
-        glob = np.linalg.cholesky(B.T @ B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "Cholesky factorization of the global block B'B failed"
-        ) from exc
-    return AdmmEngine(problem, beta, np.asfortranarray(local), np.asfortranarray(glob))
 
 
 def admm_step(engine, u):
@@ -111,21 +69,18 @@ def _naming(method_tag, beta):
 
 
 class _Run:
-    """Checked start, residual history and solution of one solve, kept for either solver.
+    """Checked start, residual record and end of one solve, kept for either solver.
 
     ``u0`` is a stacked (dim,) vector, zeros by default, and is never
-    written to; ``s0 = r - M u0`` is its residual.  Convergence is relative
-    to the initial residual, with a floor of epsilon * ||r|| so that a warm
-    start at (or numerically at) the solution stops at once instead of
-    chasing roundoff; from zero both references coincide.  A non-finite
-    residual, initial or later, raises :class:`NumericalError`; at the
-    start eps * max(inf, inf) would otherwise pass at once.
+    written to; ``s0 = r - M u0`` is its residual.  The record is the one
+    :class:`IterationTrace` describes; at the start a non-finite residual
+    must raise, since eps * max(inf, inf) would otherwise pass at once.
     """
 
-    def __init__(self, problem, u0, epsilon, max_iter):
+    def __init__(self, problem, u0, epsilon, max_iter, method_tag, beta):
         self.epsilon = check_epsilon(epsilon)
         self.max_iter = check_max_iter(max_iter)
-        self.problem = problem
+        self.problem, self.method_tag, self.beta = problem, method_tag, beta
         self.u0 = np.zeros(problem.dim) if u0 is None else u0
         self.r = problem.rhs()
         self.s0 = self.r - kkt_matvec(problem, self.u0)
@@ -168,18 +123,26 @@ class _Run:
         self.residuals.pop()
         return self.add(self.r - kkt_matvec(self.problem, u), u)
 
-    def trace(self, method_tag, beta):
+    def finish(self, final):
+        """The trace of the solve, confirming ``final()`` first if the last entry is an estimate.
+
+        ``final`` is called only then, so a solve whose last entry is fresh
+        pays for no last iterate.
+        """
+        if self.solution is None:
+            self.confirm(final())
         # copied: after zero iterations the solution is the caller's u0
         return IterationTrace(np.asarray(self.residuals), self.iterations, self.converged,
-                              self.epsilon, method_tag, beta, np.array(self.solution, dtype=float))
+                              self.epsilon, self.method_tag, self.beta,
+                              np.array(self.solution, dtype=float))
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     """Run ADMM sweeps from the stacked ``u0`` (zeros by default).
 
-    The loop stops once the KKT residual is at most ``epsilon`` in (0, 1)
-    times the larger of the initial residual and ||r||, or after
-    ``max_iter`` sweeps, an integer of at least 1.
+    The loop stops once the residual meets the threshold of
+    :class:`IterationTrace` at ``epsilon`` in (0, 1), or after ``max_iter``
+    sweeps, an integer of at least 1.
 
     Unless ``u0`` already meets the threshold, the solve applies P^{-1}
     once, by one block :func:`admmgmres.precond.apply_inverse`, to the
@@ -190,22 +153,15 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
             [ -M G'   r - M b  ]
 
     A sweep is then the one mat-vec w = T [z_k; y_k; 1]: its upper half is
-    u_{k+1} = G u_k + b and its lower half is r - M u_{k+1}.  T takes
-    2 dim (nz + ny + 1) doubles, 1.19 MB at dimension 390.
-
-    The trace records the residual read from that product, which equals
-    the true one up to roundoff.  Whenever it meets the threshold a fresh
-    r - M u_{k+1} replaces it, and only that fresh value stops the run; a
-    run that ends unconverged also ends on a fresh value, as in
-    :func:`admmgmres.gmres.admm_gmres_solve`.  The trace's ``solution`` is
-    that confirmed or final iterate.  A non-finite residual raises
-    :class:`NumericalError` naming the method and beta.
+    u_{k+1} = G u_k + b and its lower half is r - M u_{k+1}, the recorded
+    estimate.  T takes 2 dim (nz + ny + 1) doubles, 1.19 MB at dimension
+    390, small enough to stay in a 2 MB L2 cache.
     """
     problem = engine.problem
     with _naming("admm", engine.beta):
-        run = _Run(problem, u0, epsilon, max_iter)
+        run = _Run(problem, u0, epsilon, max_iter, "admm", engine.beta)
         if run.converged:
-            return run.trace("admm", engine.beta)
+            return run.finish(None)
         dim, nx, r = problem.dim, problem.nx, run.r
         X = apply_inverse(engine, np.column_stack((sweep_columns(engine), r)))  # [G' b]
         T = np.concatenate((X, -kkt_matvec(problem, X, block=True)))
@@ -216,6 +172,4 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
             v[:-1] = w[nx:dim]
             if run.add(w[dim:]) and run.confirm(w[:dim]):
                 break
-        if run.solution is None:
-            run.confirm(w[:dim])
-        return run.trace("admm", engine.beta)
+        return run.finish(lambda: w[:dim])

@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import admm_solve, make_engine
+from .admm import admm_solve
 from .bounds import curve_to_csv, theorem_curve
 from .core import (NumericalError, check_beta, check_epsilon, check_max_iter, load_problem,
                    problem_from_dict, save_problem)
 from .gmres import admm_gmres_solve
+from .precond import make_engine
 from .randgen import GenSpec, random_problem, sample_beta
 from .spectral import classify_and_verify, dtilde_extremes
 
@@ -101,17 +102,14 @@ def _run_method(problem, method, beta, epsilon, max_iter):
     return admm_gmres_solve(problem, beta, side, epsilon=epsilon, max_iter=max_iter)
 
 
-def _final_rel_residual(trace):
-    denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
-    return float(trace.residuals[-1] / denom)
+def _rel_residuals(trace):
+    """The residual history relative to its initial entry, or as is when that is 0."""
+    return trace.residuals / (trace.residuals[0] or 1.0)
 
 
 def _trace_csv(trace):
-    denom = trace.residuals[0] if trace.residuals[0] > 0 else 1.0
-    lines = ["k,rel_residual"]
-    for k, res in enumerate(trace.residuals):
-        lines.append(f"{k},{float(res / denom)!r}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{k},{float(res)!r}" for k, res in enumerate(_rel_residuals(trace)))
+    return "\n".join(["k,rel_residual", *rows]) + "\n"
 
 
 def _write_text(path, text):
@@ -158,7 +156,7 @@ def cmd_solve(args):
         kappa=dtilde_extremes(problem)[2],
         iterations=trace.iterations,
         converged=trace.converged,
-        final_rel_residual=_final_rel_residual(trace),
+        final_rel_residual=float(_rel_residuals(trace)[-1]),
     )
 
     prefix = args.out_prefix or str(Path(args.problem).with_suffix("")) + f".{args.method}"
@@ -235,7 +233,7 @@ def _scaling_rows(args):
             try:
                 trace = _run_method(problem, method, beta, args.eps, args.max_iter)
                 row.update(iterations=trace.iterations, converged=trace.converged,
-                           final_rel_residual=_final_rel_residual(trace), status="ok")
+                           final_rel_residual=float(_rel_residuals(trace)[-1]), status="ok")
             except (ValueError, NumericalError) as exc:
                 row.update(_failed(exc))
             rows.append(row)

@@ -179,6 +179,9 @@ class SaddleProblem:
     def __setattr__(self, name, value):
         raise AttributeError(f"SaddleProblem is frozen; cannot set {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"SaddleProblem is frozen; cannot delete {name!r}")
+
     def rhs(self):
         """Stacked right-hand side [r_x; r_z; r_y]."""
         return np.concatenate([self.r_x, self.r_z, self.r_y])

@@ -1,17 +1,8 @@
 """Full (non-restarted) GMRES and the two ADMM-preconditioned drivers.
 
-``gmres`` works on an abstract linear operator from a zero start.  Its
-Arnoldi step orthogonalizes each new Krylov vector by two passes of
-classical Gram-Schmidt (CGS2: two projections onto the whole basis, which
-keep the basis orthogonal to working precision) and updates the
-least-squares problem with Givens rotations.  ``admm_gmres_solve`` wraps it
-for the saddle-point system: from the residual s0 = r - M u0 of the stacked
-start u0 it solves for a correction d with the ADMM preconditioner on the
-right (M P^{-1} d = s0, u = u0 + P^{-1} d) or on the left
-(P^{-1} M d = P^{-1} s0, u = u0 + d).  Either way it keeps the M-image of
-every Krylov vector that its operator already forms, so the KKT residual
-of each recovered iterate is s0 minus one product with those images; a
-fresh r - M u confirms it at the stop.
+:func:`gmres` works on an abstract linear operator from a zero start;
+:func:`admm_gmres_solve` runs it on the KKT system with the preconditioner
+of :mod:`admmgmres.precond` on either side.
 """
 
 import itertools
@@ -21,9 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .admm import _naming, _Run, make_engine
+from .admm import _naming, _Run
 from .core import NumericalError, check_max_iter, kkt_matvec
-from .precond import apply_inverse
+from .precond import apply_inverse, make_engine
 
 __all__ = ["LinearOperator", "GmresResult", "gmres", "admm_gmres_solve"]
 
@@ -49,8 +40,8 @@ class GmresResult:
     ``inner_residuals[k]`` is the residual of the system actually handed to
     GMRES after k iterations (index 0 is the starting residual); it is
     non-increasing by the minimal-residual property.  ``breakdown`` marks a
-    happy breakdown, i.e. the exact solution was found inside the Krylov
-    space.
+    happy breakdown: the Krylov space became invariant, so the iterate is
+    the best it holds (the exact solution when the operator is nonsingular).
     """
 
     solution: np.ndarray
@@ -80,10 +71,12 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
         true-residual monitoring).
 
     Each Arnoldi step orthogonalizes the new vector with two classical
-    Gram-Schmidt passes (Giraud, Langou & Rozloznik 2005: "twice is
-    enough").  Happy breakdown counts as success; so does a finite column
-    whose norm overflows.  A non-finite new vector or column entry raises
-    :class:`NumericalError` naming the step.
+    Gram-Schmidt passes, which keep the basis orthogonal to working
+    precision (Giraud, Langou & Rozloznik 2005: "twice is enough"), and
+    updates the least-squares problem with Givens rotations.  A happy
+    breakdown stops the run; so does a finite column whose norm overflows.
+    A non-finite new vector or column entry raises :class:`NumericalError`
+    naming the step.
 
     Past the operator and the BLAS calls a step does little: its norms are
     ``math.sqrt(w @ w)``, the bits of ``np.linalg.norm`` on the contiguous
@@ -151,7 +144,8 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
             col[i + 1] = -si * col[i] + ci * col[i + 1]
             col[i] = hi
         denom = float(np.hypot(col[j], col[j + 1]))
-        cj, sj = (1.0, 0.0) if denom == 0.0 else (col[j] / denom, col[j + 1] / denom)
+        # a vanished column rotates by (0, 1), so that |g_j| stays the residual
+        cj, sj = (0.0, 1.0) if denom == 0.0 else (col[j] / denom, col[j + 1] / denom)
         cs.append(cj)
         sn.append(sj)
         col[j] = cj * col[j] + sj * col[j + 1]
@@ -175,28 +169,23 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
 def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """GMRES on the ADMM-preconditioned KKT system, solved for a correction.
 
-    Both sides start from the stacked vector ``u0`` (zeros by default) and
-    its residual s0 = r - M u0.  The start, ``epsilon`` and ``max_iter``
-    (None means the dimension, where full GMRES ends) are checked, and the
-    convergence threshold set, by the same record as in
-    :func:`admmgmres.admm.admm_solve`.  The right side solves
-    M P^{-1} d = s0 and recovers u = u0 + P^{-1} d; the left side solves
-    P^{-1} M d = P^{-1} s0 and recovers u = u0 + d.
+    From the stacked start ``u0`` (zeros by default) and its residual
+    s0 = r - M u0, the right side solves M P^{-1} d = s0 and recovers
+    u = u0 + P^{-1} d; the left side solves P^{-1} M d = P^{-1} s0 and
+    recovers u = u0 + d.  ``u0``, ``epsilon`` and ``max_iter`` (None means
+    the dimension, where full GMRES ends) are checked as in
+    :func:`admmgmres.admm.admm_solve`, and the trace is the record of
+    :class:`~admmgmres.admm.IterationTrace`; a non-finite value inside
+    :func:`gmres` raises in the same way.
 
     Each Arnoldi step keeps the product its operator already forms, the
     image w_j = M P^{-1} v_j on the right and w_j = M v_j on the left, so
-    the KKT residual of the iterate with coefficients y_k is
-    r - M u_k = s0 - W_k y_k, one mat-vec per step.  The trace records
-    that value (equal to the true residual up to roundoff; Paige,
-    Rozloznik & Strakos 2006).  Whenever it meets the threshold a fresh
-    r - M u_k replaces it, and only that fresh test stops the loop (the
-    inner tolerance is zero); a run that ends unconverged records the
-    fresh residual of its final iterate as the last entry.  The trace's
-    ``solution`` is that confirmed or final iterate.  A non-finite value,
-    in the record or inside :func:`gmres`, raises :class:`NumericalError`
-    naming the method tag and beta.  The images take
-    dim * min(max_iter, dim) doubles beside GMRES's basis of the same
-    size, so at most 2 dim^2 doubles (2.4 MB at dimension 390).
+    the recorded estimate for the iterate with coefficients y_k is
+    r - M u_k = s0 - W_k y_k (Paige, Rozloznik & Strakos 2006), one mat-vec
+    per step.  GMRES's own tolerance is zero, so only the record stops the
+    loop.  The images take dim * min(max_iter, dim) doubles beside GMRES's
+    basis of the same size, so at most 2 dim^2 doubles (2.4 MB at
+    dimension 390).
 
     On the right side the true residual is the one GMRES minimizes over a
     Krylov space that holds the plain ADMM iterate, so it stays at or
@@ -214,9 +203,10 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     engine = make_engine(problem, beta)
     tag = f"admm-gmres-{side}"
     with _naming(tag, engine.beta):
-        run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter)
+        run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter,
+                   tag, engine.beta)
         if run.converged:
-            return run.trace(tag, engine.beta)
+            return run.finish(None)
 
         dim = problem.dim
         W = np.empty((dim, min(run.max_iter, dim)))  # W[:, j] = w_j, in call order
@@ -237,6 +227,4 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
             return run.add(run.s0 - W[:, :k] @ y) and run.confirm(run.u0 + recover(basis @ y))
 
         result = gmres(op, rhs, tol=0.0, max_iter=run.max_iter, callback=monitor)
-        if run.solution is None:
-            run.confirm(run.u0 + recover(result.solution))
-        return run.trace(tag, engine.beta)
+        return run.finish(lambda: run.u0 + recover(result.solution))

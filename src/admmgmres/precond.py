@@ -1,15 +1,13 @@
 """The ADMM preconditioner P(beta): the one affine map behind every solver.
 
-At a fixed penalty ADMM is the fixed-point iteration u -> G u + b with
-G = I - P^{-1} M = P^{-1} (P - M), so one sweep is exactly u + P^{-1} (r - M u).
-:func:`apply_inverse` is the only code that applies P^{-1}.  P - M is zero
-in the x columns, so G is too and a sweep reads only the z and y parts of
-u; :func:`sweep_columns` builds the other columns of P - M from the blocks.
-ADMM applies P^{-1} to them (and to r) once per solve, which gives the
-nonzero columns of G and b in one block solve; the spectral module's G
-comes from the same two calls, and both GMRES variants apply P^{-1} once
-per Arnoldi step.  Every function here takes an
-:class:`~admmgmres.admm.AdmmEngine`.
+At a fixed penalty the three ADMM update steps (local solve, global solve,
+multiplier update) are linear, so ADMM is the fixed-point iteration
+u -> G u + b with G = I - P^{-1} M = P^{-1} (P - M), and one sweep is
+exactly u + P^{-1} (r - M u).  :func:`make_engine` factors P(beta) once per
+(problem, beta) pair, and :func:`apply_inverse` is the only code that
+applies P^{-1}.  P - M is zero in the x columns, so G is too and a sweep
+reads only the z and y parts of u; :func:`sweep_columns` builds the other
+columns of P - M from the blocks.
 
 P(beta) factors as a unit upper-triangular augmentation times the block
 lower-triangular sweep operator,
@@ -28,14 +26,48 @@ assembly of P is provided for verification only and is guarded to small
 dimensions.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .core import stacked_parts
+from .core import NumericalError, assemble_kkt, check_beta, stacked_parts
 
-__all__ = ["apply_inverse", "assemble_precond", "sweep_columns"]
+__all__ = ["AdmmEngine", "make_engine", "apply_inverse", "assemble_precond", "sweep_columns"]
 
 _DENSE_GUARD = 400
+
+
+@dataclass
+class AdmmEngine:
+    """Per-beta state: the problem, beta, and the two Cholesky factors.
+
+    ``local_factor`` is the lower Cholesky factor of D + beta A'A,
+    ``global_factor`` the one of B'B, both stored in Fortran order so that
+    LAPACK reads them in place instead of copying them on every solve.
+    Immutable once built; one engine can serve any number of steps and
+    concurrent solves.
+    """
+
+    problem: object
+    beta: float
+    local_factor: np.ndarray
+    global_factor: np.ndarray
+
+
+def make_engine(problem, beta):
+    """Factor the two sub-solve operators for a fixed beta > 0."""
+    beta = check_beta(beta)
+    A, B = problem.A, problem.B
+    factors = []
+    for failure, block in ((f"local block D + beta A'A failed at beta={beta}",
+                            problem.D + beta * (A.T @ A)),
+                           ("global block B'B failed", B.T @ B)):
+        try:
+            factors.append(np.asfortranarray(np.linalg.cholesky(block)))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization of the {failure}") from exc
+    return AdmmEngine(problem, beta, *factors)
 
 
 def apply_inverse(engine, v):
@@ -65,9 +97,8 @@ def sweep_columns(engine):
     """The z and y columns (P - M)[:, nx:] of P(beta) - M, built from the blocks.
 
     Only two blocks are nonzero: -beta A'B in the x rows of the z columns
-    and -(1/beta) I in the y rows of the y columns.  They are computed as
-    :func:`assemble_precond` computes them, and every other entry is an
-    exact zero there too, so the result equals the assembled difference
+    and -(1/beta) I in the y rows of the y columns.  :func:`assemble_precond`
+    places these two blocks, so the result equals the assembled difference
     bit for bit.  Nothing dim x dim is formed, so no dimension guard applies.
     """
     p, beta = engine.problem, engine.beta
@@ -88,15 +119,15 @@ def check_dense(problem):
 
 
 def assemble_precond(engine):
-    """Explicit dense P(beta), refused above total dimension 400."""
-    p, beta = engine.problem, engine.beta
+    """Explicit dense P(beta), refused above total dimension 400.
+
+    P is M with the two nonzero blocks of :func:`sweep_columns` in place of
+    the zero blocks they fill.
+    """
+    p = engine.problem
     check_dense(p)
-    A, B, D = p.A, p.B, p.D
-    nx, nz, ny = p.nx, p.nz, p.ny
-    return np.block(
-        [
-            [D, -beta * (A.T @ B), A.T],
-            [np.zeros((nz, nx)), np.zeros((nz, nz)), B.T],
-            [A, B, -(1.0 / beta) * np.eye(ny)],
-        ]
-    )
+    nx, iy = p.nx, p.nx + p.nz  # iy: first y row and column
+    P, cols = assemble_kkt(p), sweep_columns(engine)
+    P[:nx, nx:iy] = cols[:nx, : p.nz]
+    P[iy:, iy:] = cols[iy:, p.nz :]
+    return P

@@ -89,8 +89,7 @@ def random_problem(spec):
 
     A = (u_a * sig_a) @ v_a[:, :ny].T
     B = (u_b[:, :nz] * sig_b) @ v_b.T
-    D = (u_d * sig_d) @ u_d.T
-    D = 0.5 * (D + D.T)
+    D = (u_d * sig_d) @ u_d.T  # symmetrized by SaddleProblem
 
     return SaddleProblem(
         A,

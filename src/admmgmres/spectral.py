@@ -6,13 +6,6 @@ eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.
 
-G(beta) = P^{-1} (P - M) comes from the same
-:func:`admmgmres.precond.apply_inverse` of
-:func:`admmgmres.precond.sweep_columns` that sets up the ADMM sweep.
-:func:`classify_and_verify` forms each piece of a report once, with c1 in
-closed form from the singular values of B; :func:`conditioning_factors`
-returns the factor part of that report.
-
 A penalty sweep on one problem pays only for the penalty: the pieces that
 do not depend on beta (the eigenpairs of A D^{-1} A', the QR factors of B
 with the singular values of R, and cond(M)) are kept for the most recent
@@ -32,9 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .admm import make_engine
 from .core import assemble_kkt, check_beta
-from .precond import apply_inverse, assemble_precond, check_dense, sweep_columns
+from .precond import apply_inverse, assemble_precond, check_dense, make_engine, sweep_columns
 
 __all__ = [
     "KernelBlocks",
@@ -117,10 +109,8 @@ def _b_factors(problem):
 def build_iteration_matrix(problem, beta):
     """Explicit dense ADMM iteration matrix G(beta) = P^{-1} (P - M).
 
-    One sweep maps u to G u + b.  P - M is nonzero only in the z and y
-    columns, so the x columns of G are exact zeros (the sweep never reads
-    x) and, unlike I - P^{-1} M, nothing cancels.  Refused above total
-    dimension 400.
+    Its x columns are exact zeros: unlike in I - P^{-1} M, nothing cancels.
+    Refused above total dimension 400.
     """
     check_dense(problem)
     engine = make_engine(problem, beta)
@@ -144,24 +134,21 @@ class KernelBlocks:
     Z: np.ndarray
 
 
-def _kernel(beta, w, V, Q, P):
-    """K = [Q'; -P'] Kt [Q P] from the eigenpairs (w, V) of A D^{-1} A'.
-
-    Kt is the symmetric contrast (beta^{-1} Dt + I)^{-1} - (beta Dt^{-1} + I)^{-1}
-    of Dt = (A D^{-1} A')^{-1}, whose eigenvalues are (beta*w - 1)/(beta*w + 1).
-    """
-    f = (beta * w - 1.0) / (beta * w + 1.0)
-    Kt = (V * f) @ V.T
-    Kt = 0.5 * (Kt + Kt.T)
-    return np.vstack([Q.T, -P.T]) @ Kt @ np.hstack([Q, P])
-
-
 def build_k_matrix(problem, beta):
-    """Assemble the ny x ny kernel K(beta) and its blocks from the QR pieces of B."""
+    """Assemble the ny x ny kernel K(beta) and its blocks from the QR pieces of B.
+
+    K = [Q'; -P'] Kt [Q P] for the QR factors Q and complement P of B, where
+    Kt is the symmetric contrast (beta^{-1} Dt + I)^{-1} - (beta Dt^{-1} + I)^{-1}
+    of Dt = (A D^{-1} A')^{-1}, whose eigenvalues are (beta*w - 1)/(beta*w + 1)
+    for the eigenvalues w of A D^{-1} A'.
+    """
     beta = check_beta(beta)
     w, V = _piece(problem, "eig", _dtilde_eig)
     Q, P, _ = _piece(problem, "B", _b_factors)
-    K = _kernel(beta, w, V, Q, P)
+    f = (beta * w - 1.0) / (beta * w + 1.0)
+    Kt = (V * f) @ V.T
+    Kt = 0.5 * (Kt + Kt.T)
+    K = np.vstack([Q.T, -P.T]) @ Kt @ np.hstack([Q, P])
     nz = problem.nz
     return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
 
@@ -303,10 +290,9 @@ def classify_and_verify(problem, beta):
     G = apply_inverse(engine, sweep_columns(engine))
 
     m, ell, kappa = dtilde_extremes(problem)
-    w, V = _piece(problem, "eig", _dtilde_eig)
     gamma = max(beta / m, ell / beta)
-    Q, Qc, sigma = _piece(problem, "B", _b_factors)
-    K = _kernel(beta, w, V, Q, Qc)
+    sigma = _piece(problem, "B", _b_factors)[2]
+    K = build_k_matrix(problem, beta).K
     k_norm = float(np.linalg.norm(K, 2))
     eigs, X = np.linalg.eig(K)
     regime = classify_regime(gamma, kappa)

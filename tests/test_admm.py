@@ -57,6 +57,25 @@ class TestEngine:
         assert err_l <= 1e-10 * np.linalg.norm(local)
         assert err_g <= 1e-10 * np.linalg.norm(glob)
 
+    @pytest.mark.parametrize("failing_call, message", [
+        (1, "Cholesky factorization of the local block D + beta A'A failed at beta=0.5"),
+        (2, "Cholesky factorization of the global block B'B failed"),
+    ], ids=["local", "global"])
+    def test_cholesky_failure_names_its_block(self, problem42, monkeypatch, failing_call, message):
+        cholesky, calls = np.linalg.cholesky, []
+
+        def cholesky_failing_once(a):
+            calls.append(a)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_failing_once)
+        with pytest.raises(NumericalError) as info:
+            make_engine(problem42, 0.5)
+        assert str(info.value) == message
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_rejects_bad_beta(self, problem42):
         for entry in (make_engine, schur_pieces, build_k_matrix, build_iteration_matrix):
             # 1e-310 is positive, but P(beta) holds -(1/beta) I and 1/beta overflows

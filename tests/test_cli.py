@@ -6,8 +6,9 @@ import warnings
 
 import pytest
 
+from admmgmres import cli
 from admmgmres.cli import main
-from admmgmres.core import load_problem, save_problem
+from admmgmres.core import NumericalError, load_problem, save_problem
 from admmgmres.spectral import dtilde_extremes
 from conftest import extremes_problem
 
@@ -280,6 +281,42 @@ class TestScaling:
         rows = list(csv.DictReader(open(out, encoding="utf-8")))
         assert {row["method"] for row in rows} == {"admm", "admm-gmres-right"}
         assert all(row["iterations"] == "1" for row in rows)
+
+    def test_failed_rows(self, tmp_path, monkeypatch):
+        # spreads up to 40 make many drawn blocks numerically singular, so
+        # generation fails for some problems; a failed problem still gets one
+        # row per method, with no penalty or kappa, while a failed run keeps
+        # both (here right GMRES is made to fail on every problem; the sweep
+        # cap only keeps ADMM on the surviving, ill-conditioned problems short)
+        run_method = cli._run_method
+
+        def right_gmres_fails(problem, method, *args):
+            if method == "gmres-right":
+                raise NumericalError("injected")
+            return run_method(problem, method, *args)
+
+        monkeypatch.setattr(cli, "_run_method", right_gmres_fails)
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--count", "30", "--dim-max", "8", "--s-max", "40",
+                     "--seed", "1", "--max-iter", "20", "-o", str(out)]) == 0
+        rows = list(csv.DictReader(open(out, encoding="utf-8")))
+        assert [row["method"] for row in rows] == ["admm", "admm-gmres-right"] * 30
+        statuses = {"failed:ValueError": 0, "ok": 0}
+        for admm_row, right_row in zip(rows[::2], rows[1::2]):
+            assert admm_row["problem_id"] == right_row["problem_id"]
+            statuses[admm_row["status"]] += 1
+            if admm_row["status"] == "failed:ValueError":
+                for row in (admm_row, right_row):
+                    assert row["status"] == "failed:ValueError"
+                    assert (row["iterations"], row["converged"]) == ("0", "false")
+                    assert all(math.isnan(float(row[column])) for column in
+                               ("beta", "kappa", "seventeen_sqrt_kappa", "final_rel_residual"))
+            else:
+                assert right_row["status"] == "failed:NumericalError"
+                assert (right_row["iterations"], right_row["converged"]) == ("0", "false")
+                assert math.isnan(float(right_row["final_rel_residual"]))
+                assert all(math.isfinite(float(right_row[column])) for column in ("beta", "kappa"))
+        assert statuses["failed:ValueError"] >= 1 and statuses["ok"] >= 1
 
     def test_reference_column_present(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -179,6 +179,8 @@ class TestValidation:
         for name in ("A", "B", "D", "r_x", "r_z", "r_y", "nx", "ny", "nz", "dim"):
             with pytest.raises(AttributeError, match="frozen"):
                 setattr(problem42, name, getattr(other, name))
+            with pytest.raises(AttributeError, match="frozen"):
+                delattr(problem42, name)
 
 
 class TestJsonFormat:

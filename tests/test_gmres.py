@@ -73,7 +73,7 @@ def numpy_scalar_gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
             H[i, j] = hi
         denom = np.hypot(H[j, j], H[j + 1, j])
         if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
+            cs[j], sn[j] = 0.0, 1.0
         else:
             cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
         H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
@@ -253,6 +253,19 @@ class TestBitsEqualTheNumpyScalarOracle:
         M, rhs = rank_limited_system(n, rank, np.random.default_rng(n))
         assert gmres_matching_oracle(M, rhs).breakdown
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    @pytest.mark.parametrize("M, rhs", [
+        (np.zeros((4, 4)), np.ones(4)),
+        (np.diag([1.0, 2.0, 0.0]), np.eye(3)[2]),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)[0]),
+    ], ids=["zero", "singular-diagonal", "nilpotent"])
+    def test_vanished_column_keeps_the_residual(self, M, rhs, tol):
+        # M v_0 = 0 leaves a zero Hessenberg column and a singular R; the
+        # inner residual once read 0 there, so any tol stopped as if solved
+        out = gmres_matching_oracle(M, rhs, tol)
+        assert out.breakdown and out.iterations == 1
+        assert out.inner_residuals[-1] == np.linalg.norm(M @ out.solution - rhs) > 0
+
 
 class TestAdmmGmres:
     def test_start_at_solution(self, problem42):
@@ -329,15 +342,18 @@ class TestAdmmGmres:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("max_iter", [None, 2], ids=["converged", "capped"])
     def test_one_operator_application_per_step(self, problem42, monkeypatch, side, max_iter):
-        # the monitor reads the residual from the Arnoldi images, so only the
-        # start and the stop add a P^{-1} or an M (the right side once made
+        # the monitor reads the residual from the Arnoldi images, so beyond
+        # one of each per step only the start and the stop add work: the
+        # left side's right-hand side or the right side's recovery of the
+        # stopping iterate is the one more P^{-1}, the start residual and the
+        # stop's fresh residual the two more M (the right side once made
         # 2k + 1 kkt_matvec calls)
         inverses = count_calls(monkeypatch, "apply_inverse")
         matvecs = count_calls(monkeypatch, "kkt_matvec")
         trace = admm_gmres_solve(problem42, 1.0, side, max_iter=max_iter)
         k = trace.iterations
         assert k >= 2
-        assert len(inverses) <= k + 2 and len(matvecs) <= k + 2
+        assert (len(inverses), len(matvecs)) == (k + 1, k + 2)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_huge_max_iter_allocates_by_dimension(self, problem42, side):

@@ -45,3 +45,7 @@ def test_exports_resolve_and_removed_names_are_gone():
                       # sizes are attributes set once, not properties recomputed per read
                       *((admmgmres.SaddleProblem, name) for name in ("nx", "ny", "nz", "dim"))):
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    # the engine is defined in precond; admm and the package hand out the same objects
+    for name in ("AdmmEngine", "make_engine"):
+        assert getattr(admmgmres.admm, name) is getattr(admmgmres, name) \
+            is getattr(admmgmres.precond, name), name
