@@ -222,12 +222,9 @@ def stacked_parts(problem, u, block=False):
     return u[:nx], u[nx : nx + nz], u[nx + nz :]
 
 
-def kkt_matvec(problem, u, block=False):
-    """Product M u of a stacked vector, computed blockwise without assembling M.
-
-    With ``block``, ``u`` may also be a (dim, k) block, multiplied column by column.
-    """
-    x, z, y = stacked_parts(problem, u, block)
+def kkt_matvec(problem, u):
+    """Product M u of a stacked vector, computed blockwise without assembling M."""
+    x, z, y = stacked_parts(problem, u)
     A, B, D = problem.A, problem.B, problem.D
     return np.concatenate([D @ x + A.T @ y, B.T @ y, A @ x + B @ z])
 

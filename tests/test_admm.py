@@ -13,7 +13,7 @@ from admmgmres.core import (
     kkt_residual,
 )
 from admmgmres.gmres import admm_gmres_solve
-from admmgmres.precond import apply_inverse
+from admmgmres.precond import apply_inverse, assemble_precond
 from admmgmres.spectral import (
     build_iteration_matrix,
     build_k_matrix,
@@ -22,6 +22,8 @@ from admmgmres.spectral import (
 )
 from conftest import count_calls, extremes_problem, random_dims, seeded_problem
 from oracles import schur_pieces
+
+TOL = 1e3 * np.finfo(float).eps
 
 
 def square_identity_problem():
@@ -180,14 +182,53 @@ class TestSolve:
     @pytest.mark.parametrize("max_iter", [None, 3], ids=["converged", "capped"])
     def test_sweeps_take_no_fresh_residual(self, problem42, monkeypatch, max_iter):
         # the loop reads each residual from its stacked product; M is applied
-        # to a vector only for the start and for the one confirmation that
-        # stops the run (here the first threshold hit confirms) or ends it
-        # capped, and to a block once in the set-up
+        # only for the start and for the one confirmation that stops the run
+        # (here the first threshold hit confirms) or ends it capped
         calls = count_calls(monkeypatch, "kkt_matvec")
         kwargs = {} if max_iter is None else {"max_iter": max_iter}
         trace = admm_solve(make_engine(problem42, 1.0), **kwargs)
         assert trace.iterations >= 3 and trace.converged == (max_iter is None)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100_000])
+    def test_run_ends_on_its_last_sweep(self, problem42, max_iter):
+        # a sweep forms only z and y; the x block of the final iterate is
+        # built from the [z; y; 1] the last sweep read, so a capped or
+        # converged run ends on as many factored sweeps as it records, from
+        # a start whose x block is not zero
+        engine = make_engine(problem42, 0.7)
+        u0 = np.random.default_rng(4).standard_normal(problem42.dim)
+        trace = admm_solve(engine, u0=u0, max_iter=max_iter)
+        iterates = [u0]
+        for _ in range(trace.iterations):
+            iterates.append(admm_step(engine, iterates[-1]))
+        assert trace.converged == (max_iter > 3)
+        assert trace.converged or trace.iterations == max_iter
+        bound = TOL * np.linalg.cond(assemble_precond(engine), 2)
+        assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * max(map(np.linalg.norm, iterates))
+
+    @pytest.mark.parametrize("beta_of", [lambda m, ell: 1e-4 * m, lambda m, ell: 1e4 * ell],
+                             ids=["1e-4m", "1e4ell"])
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (12, 12, 12, 1.0, 5)],
+                             ids=["6-4-2", "12-12-12"])
+    def test_estimates_follow_the_step_oracle_at_extreme_penalties(self, dims, beta_of):
+        # each recorded estimate (P - M)(u_{k+1} - u_k) against the fresh
+        # residual of repeated admm_step, 100 times further out than the
+        # Hypothesis range.  A backward-stable solve with P moves a residual
+        # by about eps ||M P^{-1}|| ||P|| ||u||; seen: below 1 eps of that.
+        problem = seeded_problem(*dims)
+        engine = make_engine(problem, beta_of(*dtilde_extremes(problem)[:2]))
+        u0 = np.random.default_rng(3).standard_normal(problem.dim)
+        trace = admm_solve(engine, u0=u0, epsilon=1e-12, max_iter=40)
+        iterates = [u0]
+        for _ in range(40):
+            iterates.append(admm_step(engine, iterates[-1]))
+        assert trace.iterations == 40
+        M, P = assemble_kkt(problem), assemble_precond(engine)
+        scale = np.linalg.norm(M @ np.linalg.inv(P), 2) * np.linalg.norm(P, 2)
+        slack = TOL * (scale * max(map(np.linalg.norm, iterates)) + np.linalg.norm(problem.rhs()))
+        oracle = [kkt_residual(problem, u) for u in iterates]
+        assert np.all(np.abs(trace.residuals - oracle) <= slack)
 
     def test_runs_above_the_dense_guard(self):
         # the sweep builds G's columns from blocks, so the total-dimension
