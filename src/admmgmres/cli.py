@@ -116,6 +116,13 @@ def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _refuse_to_overwrite(problem_path, *outputs):
+    """Raise before any write if an output path is the problem file itself."""
+    for output in outputs:
+        if output and Path(output).exists() and Path(output).samefile(problem_path):
+            raise ValueError(f"output {output!r} would overwrite the problem file; pick another")
+
+
 def _emit(output, text):
     """Write ``text`` to the file ``output`` and print its path, or print ``text``."""
     if output:
@@ -134,6 +141,10 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
+    prefix = args.out_prefix or str(Path(args.problem).with_suffix("")) + f".{args.method}"
+    trace_path = prefix + ".trace.csv"
+    record_path = prefix + ".json"
+    _refuse_to_overwrite(args.problem, trace_path, record_path)
     raw = json.loads(Path(args.problem).read_text(encoding="utf-8"))
     problem = problem_from_dict(raw)
     provenance = raw.get("provenance", {})
@@ -159,13 +170,6 @@ def cmd_solve(args):
         final_rel_residual=float(_rel_residuals(trace)[-1]),
     )
 
-    prefix = args.out_prefix or str(Path(args.problem).with_suffix("")) + f".{args.method}"
-    trace_path = prefix + ".trace.csv"
-    record_path = prefix + ".json"
-    if Path(record_path).resolve() == Path(args.problem).resolve():
-        raise ValueError(
-            f"out prefix {prefix!r} would overwrite the problem file; pick another"
-        )
     _write_text(trace_path, _trace_csv(trace))
     _write_text(record_path, json.dumps(asdict(record), indent=1, sort_keys=True) + "\n")
     print(
@@ -178,6 +182,7 @@ def cmd_solve(args):
 
 
 def cmd_spectrum(args):
+    _refuse_to_overwrite(args.problem, args.output)
     problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
     _emit(args.output, classify_and_verify(problem, beta).to_json() + "\n")
@@ -185,6 +190,7 @@ def cmd_spectrum(args):
 
 
 def cmd_bounds(args):
+    _refuse_to_overwrite(args.problem, args.output)
     problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
     report = classify_and_verify(problem, beta)

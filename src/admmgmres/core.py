@@ -107,8 +107,8 @@ class SaddleProblem:
     conventions that size it by ny only cover the square case nx == ny.
     Instances are frozen after construction (the arrays are marked
     read-only and the attributes cannot be rebound) and safe to share across
-    threads; the spectral module relies on this when it reuses a problem's
-    factorizations.
+    threads; :mod:`admmgmres.precond` relies on this when it reuses a
+    problem's factorizations.
     """
 
     def __init__(self, A, B, D, r_x, r_z, r_y):

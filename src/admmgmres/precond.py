@@ -24,8 +24,13 @@ array-API layers: with one right-hand side ``cho_solve`` takes 20-26 us
 where ``dpotrs`` takes 2-6 us, for factors of order 10 to 60.  Explicit
 assembly of P is provided for verification only and is guarded to small
 dimensions.
+
+A penalty sweep on one problem pays only for the penalty: each piece that
+does not depend on beta (A'A, A'B, chol(B'B), the spectral module's) is
+formed on first use and kept, by weak reference, for the latest problem.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +42,33 @@ __all__ = ["AdmmEngine", "make_engine", "apply_inverse", "assemble_precond", "sw
 
 _DENSE_GUARD = 400
 
+# (weak reference to a problem, {piece name: value}) for the most recent
+# problem.  A miss replaces the whole entry in one assignment and every call
+# keeps the dict it read, so concurrent callers never mix two problems; at
+# worst two of them form the same piece twice.
+_memo = (lambda: None, {})
+
+
+def _piece(problem, name, compute):
+    """The beta-independent piece ``name`` of ``problem``, formed on first use."""
+    global _memo
+    ref, pieces = _memo
+    if ref() is not problem:
+        pieces = {}
+        _memo = (weakref.ref(problem), pieces)
+    if name not in pieces:
+        pieces[name] = compute(problem)
+    return pieces[name]
+
 
 @dataclass
 class AdmmEngine:
     """Per-beta state: the problem, beta, and the two Cholesky factors.
 
-    ``local_factor`` is the lower Cholesky factor of D + beta A'A,
-    ``global_factor`` the one of B'B, both stored in Fortran order so that
-    LAPACK reads them in place instead of copying them on every solve.
-    Immutable once built; one engine can serve any number of steps and
-    concurrent solves.
+    ``local_factor`` is the lower Cholesky factor of D + beta A'A and
+    ``global_factor`` the one of B'B, both read-only and in Fortran order so
+    that LAPACK reads them in place.  Immutable once built; one engine can
+    serve any number of steps and concurrent solves.
     """
 
     problem: object
@@ -55,19 +77,23 @@ class AdmmEngine:
     global_factor: np.ndarray
 
 
+def _cholesky(block):
+    factor = np.asfortranarray(np.linalg.cholesky(block))
+    factor.flags.writeable = False
+    return factor
+
+
 def make_engine(problem, beta):
     """Factor the two sub-solve operators for a fixed beta > 0."""
     beta = check_beta(beta)
-    A, B = problem.A, problem.B
-    factors = []
-    for failure, block in ((f"local block D + beta A'A failed at beta={beta}",
-                            problem.D + beta * (A.T @ A)),
-                           ("global block B'B failed", B.T @ B)):
-        try:
-            factors.append(np.asfortranarray(np.linalg.cholesky(block)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Cholesky factorization of the {failure}") from exc
-    return AdmmEngine(problem, beta, *factors)
+    try:
+        failure = f"local block D + beta A'A failed at beta={beta}"
+        local = _cholesky(problem.D + beta * _piece(problem, "A'A", lambda p: p.A.T @ p.A))
+        failure = "global block B'B failed"
+        shared = _piece(problem, "chol(B'B)", lambda p: _cholesky(p.B.T @ p.B))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Cholesky factorization of the {failure}") from exc
+    return AdmmEngine(problem, beta, local, shared)
 
 
 def apply_inverse(engine, v):
@@ -104,7 +130,7 @@ def sweep_columns(engine):
     p, beta = engine.problem, engine.beta
     nx, nz = p.nx, p.nz
     cols = np.zeros((p.dim, nz + p.ny))
-    cols[:nx, :nz] = -beta * (p.A.T @ p.B)
+    cols[:nx, :nz] = -beta * _piece(p, "A'B", lambda q: q.A.T @ q.B)
     cols[nx + nz :, nz:] = -(1.0 / beta) * np.eye(p.ny)
     return cols
 

@@ -6,19 +6,12 @@ eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.
 
-A penalty sweep on one problem pays only for the penalty: the pieces that
-do not depend on beta (the eigenpairs of A D^{-1} A', the QR factors of B
-with the singular values of R, and cond(M)) are kept for the most recent
-problem that asked for them, each formed on first use.  Only that one
-problem is kept, by weak reference, so nothing outlives it.
-
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
 :func:`admmgmres.precond.check_dense`.
 """
 
 import json
-import weakref
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -26,7 +19,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .core import assemble_kkt, check_beta
-from .precond import apply_inverse, assemble_precond, check_dense, make_engine, sweep_columns
+from .precond import (_piece, apply_inverse, assemble_precond, check_dense, make_engine,
+                      sweep_columns)
 
 __all__ = [
     "KernelBlocks",
@@ -49,25 +43,6 @@ _ENCLOSURE_SLACK = 1e-7
 
 # Eigenvector matrices conditioned worse than this count as numerically singular.
 _EIGVEC_CUTOFF = 1e12
-
-
-# (weak reference to a problem, {piece name: value}) for the most recent
-# problem.  A miss replaces the whole entry in one assignment and every call
-# keeps the dict it read, so concurrent callers never mix two problems; at
-# worst two of them form the same piece twice.
-_memo = (lambda: None, {})
-
-
-def _piece(problem, name, compute):
-    """The beta-independent piece ``name`` of ``problem``, formed on first use."""
-    global _memo
-    ref, pieces = _memo
-    if ref() is not problem:
-        pieces = {}
-        _memo = (weakref.ref(problem), pieces)
-    if name not in pieces:
-        pieces[name] = compute(problem)
-    return pieces[name]
 
 
 def _dtilde_eig(problem):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from admmgmres import precond
 from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import (
     NumericalError,
@@ -77,6 +78,31 @@ class TestEngine:
             make_engine(problem42, 0.5)
         assert str(info.value) == message
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        # a failure is never kept: the next engine factors both blocks afresh
+        before = len(calls)
+        engine = make_engine(problem42, 0.5)
+        assert len(calls) == before + 2
+        glob = problem42.B.T @ problem42.B
+        assert np.array_equal(engine.global_factor, cholesky(glob))
+
+    def test_second_penalty_factors_only_the_local_block(self, problem42, monkeypatch):
+        make_engine(problem42, 0.5)
+        cholesky, calls = np.linalg.cholesky, []
+        piece, formed = precond._piece, []
+
+        def cholesky_spy(a):
+            calls.append(a)
+            return cholesky(a)
+
+        def piece_spy(problem, name, compute):
+            return piece(problem, name, lambda p: formed.append(name) or compute(p))
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+        monkeypatch.setattr(precond, "_piece", piece_spy)
+        engine = make_engine(problem42, 2.0)
+        assert len(calls) == 1 and formed == []  # neither A'A nor chol(B'B)
+        assert not engine.global_factor.flags.writeable
+        assert engine.global_factor is make_engine(problem42, 3.0).global_factor
 
     def test_rejects_bad_beta(self, problem42):
         for entry in (make_engine, schur_pieces, build_k_matrix, build_iteration_matrix):

@@ -326,12 +326,24 @@ class TestScaling:
         assert "seventeen_sqrt_kappa" in header.split(",")
 
 
-def test_solve_refuses_to_overwrite_problem(tmp_path, capsys):
-    path = tmp_path / "p.json"
+@pytest.mark.parametrize("name, argv", [
+    ("p.json", ["solve", "PROBLEM", "--out-prefix", "p"]),
+    ("p.trace.csv", ["solve", "PROBLEM", "--out-prefix", "p"]),
+    ("q.json", ["spectrum", "PROBLEM", "--beta", "1", "-o", "PROBLEM"]),
+    ("q.json", ["bounds", "PROBLEM", "--kind", "prop5", "-o", "PROBLEM"]),
+], ids=["solve-record", "solve-trace", "spectrum", "bounds"])
+def test_solve_refuses_to_overwrite_problem(tmp_path, capsys, name, argv):
+    # all but solve-record once exited 0 with the problem file replaced
+    path = tmp_path / name
     assert main(gen_args(path)) == 0
-    rc = main(["solve", str(path), "--out-prefix", str(tmp_path / "p")])
-    assert rc == 2
-    assert "overwrite" in capsys.readouterr().err
+    before = path.read_bytes()
+    capsys.readouterr()
+    argv = [str(path) if arg == "PROBLEM" else str(tmp_path / arg) if arg == "p" else arg
+            for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "overwrite" in err and str(path) in err
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["bounds", "--kind", "thm7"]],

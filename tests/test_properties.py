@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import SaddleProblem, assemble_kkt, direct_solve, kkt_residual
 from admmgmres.gmres import admm_gmres_solve
-from admmgmres.precond import apply_inverse, assemble_precond
+from admmgmres.precond import apply_inverse, assemble_precond, sweep_columns
 from admmgmres.randgen import GenSpec, random_problem
 from admmgmres.spectral import (
     SpectralReport,
@@ -126,10 +126,17 @@ def test_warm_report_equals_cold_report(case, shift):
     problem, beta, _ = case
     classify_and_verify(problem, beta * 10.0**shift)
     warm = classify_and_verify(problem, beta)
+    warm_engine = make_engine(problem, beta)
+    warm_cols = sweep_columns(warm_engine)
     fresh = SaddleProblem(problem.A, problem.B, problem.D, problem.r_x, problem.r_z, problem.r_y)
+    cold_engine = make_engine(fresh, beta)
+    cold_cols = sweep_columns(cold_engine)
     cold = classify_and_verify(fresh, beta)
     for field in dataclasses.fields(SpectralReport):
         assert np.array_equal(getattr(warm, field.name), getattr(cold, field.name)), field.name
+    for name in ("local_factor", "global_factor"):
+        assert np.array_equal(getattr(warm_engine, name), getattr(cold_engine, name)), name
+    assert np.array_equal(warm_cols, cold_cols)
 
 
 @PROPERTY

@@ -9,9 +9,10 @@ import weakref
 import numpy as np
 import pytest
 
-from admmgmres.admm import admm_step, make_engine
+from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import SaddleProblem
-from admmgmres.precond import apply_inverse
+from admmgmres.gmres import admm_gmres_solve
+from admmgmres.precond import apply_inverse, sweep_columns
 from admmgmres.spectral import (
     build_iteration_matrix,
     build_k_matrix,
@@ -324,8 +325,19 @@ class TestConditioningFactors:
             conditioning_factors(p, 1.0)
 
 
+def engine_bytes(p, beta):
+    """The bytes of both engine factors and of the sweep columns at ``beta``."""
+    engine = make_engine(p, beta)
+    return (engine.local_factor.tobytes(), engine.global_factor.tobytes(),
+            sweep_columns(engine).tobytes())
+
+
+def trace_values(trace):
+    return trace.residuals.tobytes(), trace.solution.tobytes()
+
+
 class TestPerProblemReuse:
-    """A report reuses the beta-independent pieces of its problem, and only those."""
+    """Engines, sweeps and reports reuse the beta-independent pieces of their problem only."""
 
     BETAS = (0.05, 1.0, 20.0)
 
@@ -337,38 +349,54 @@ class TestPerProblemReuse:
             assert warm.to_json() == cold.to_json()
 
     def test_interleaved_problems_do_not_mix(self):
-        # same shape, different data: a mix-up would go unnoticed by shape checks
+        # same shape, different data: a mix-up would go unnoticed by shape checks;
+        # solves and reports alternate within each call
         def readers(p, beta):
-            return (classify_and_verify(p, beta).to_json(), build_k_matrix(p, beta).K.tolist(),
+            return (*engine_bytes(p, beta), classify_and_verify(p, beta).to_json(),
+                    *trace_values(admm_solve(make_engine(p, beta), max_iter=5)),
+                    build_k_matrix(p, beta).K.tolist(),
+                    *trace_values(admm_gmres_solve(p, beta, "right", max_iter=5)),
                     dtilde_extremes(p))
 
         a, b = seeded_problem(7, 5, 3, 0.6, 1), seeded_problem(7, 5, 3, 0.6, 2)
         cold = {(id(p), beta): readers(fresh_copy(p), beta) for p in (a, b) for beta in self.BETAS}
         for beta in self.BETAS:
+            # a cache keyed by anything coarser than the problem would give
+            # the second cold problem some value of the first
+            assert all(x != y for x, y in zip(cold[id(a), beta], cold[id(b), beta]))
             for p in (a, b, a):
                 assert readers(p, beta) == cold[id(p), beta]
 
     def test_report_does_not_keep_its_problem_alive(self):
-        p = seeded_problem(7, 5, 3, 0.6, 3)
-        classify_and_verify(p, 1.0)
-        ref = weakref.ref(p)
-        del p
-        gc.collect()
-        assert ref() is None
+        # nor does a solve, once its engine and traces are gone
+        for solve in (False, True):
+            p = seeded_problem(7, 5, 3, 0.6, 3)
+            if solve:
+                engine = make_engine(p, 1.0)
+                traces = admm_solve(engine, max_iter=5), admm_gmres_solve(p, 1.0, "right")
+                del engine, traces
+            else:
+                classify_and_verify(p, 1.0)
+            ref = weakref.ref(p)
+            del p
+            gc.collect()
+            assert ref() is None
 
     def test_threads_alternating_problems_get_cold_results(self):
         # more threads than cores, switching often, each alternating two small
         # problems so that most of the time is spent in the memo's Python code
         problems = [seeded_problem(3, 2, 1, 0.6, seed) for seed in (4, 5)]
-        cold = [[(dtilde_extremes(q), classify_and_verify(q, beta).to_json())
+        cold = [[(dtilde_extremes(q), engine_bytes(q, beta),
+                  classify_and_verify(q, beta).to_json())
                  for beta in self.BETAS] for q in map(fresh_copy, problems)]
         results = [[] for _ in range(4)]
 
         def worker(index):
             for round_ in range(600):
                 k, j = (index + round_) % 2, round_ % len(self.BETAS)
-                extremes, report = cold[k][j]
+                extremes, factors, report = cold[k][j]
                 ok = dtilde_extremes(problems[k]) == extremes
+                ok = ok and engine_bytes(problems[k], self.BETAS[j]) == factors
                 if round_ % 10 == 0:  # one report in ten: the memo lookups are the stress
                     ok = ok and classify_and_verify(problems[k], self.BETAS[j]).to_json() == report
                 results[index].append(ok)
