@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, check_epsilon, check_max_iter, kkt_matvec
-from .precond import AdmmEngine, apply_inverse, make_engine, sweep_columns  # engine re-exported
+from .precond import (AdmmEngine, apply_inverse, kernel_sweep,  # engine re-exported
+                      make_engine, sweep_columns)
 
 __all__ = [
     "AdmmEngine",
@@ -144,46 +145,50 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     :class:`IterationTrace` at ``epsilon`` in (0, 1), or after ``max_iter``
     sweeps, an integer of at least 1.
 
-    Unless ``u0`` already meets the threshold, the solve applies P^{-1}
-    once, by one block :func:`admmgmres.precond.apply_inverse`, to the
-    columns (P - M)[:, nx:] and to r.  That gives the nonzero columns G' of
-    G and b = P^{-1} r, so u_{k+1} = [G' b] [z_k; y_k; 1].  Since
-    P u_{k+1} = P u_k + r - M u_k, the residual after a sweep is fixed by
-    the change of the iterate (Boyd et al. 2011, section 3.3):
+    The sweeps run in the ny-long kernel coordinate of
+    :class:`admmgmres.precond.KernelSweep`: at a fixed penalty ADMM is
+    Douglas-Rachford splitting on the dual (Gabay 1983; Eckstein & Bertsekas
+    1992), so its state is one ny-vector.  Unless ``u0`` already meets the
+    threshold, the solve applies P^{-1} once to s0 = r - M u0, which gives
+    the first correction b = u_1 - u_0.  Since P u_{k+1} = P u_k + r - M u_k,
+    the residual of an iterate is fixed by the change of the iterate (Boyd
+    et al. 2011, section 3.3):
 
-        r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta]
+        r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta],
 
-    with dz = z_{k+1} - z_k and dy = y_{k+1} - y_k, and ||beta A'B dz||
-    = ||R dz|| for the nz x nz factor R of a QR of beta A'B.  With C the
-    (z, y) rows of [G' b], a sweep is the one mat-vec w = S [z_k; y_k; 1]
-    with
-
-        S = [         C           ]
-            [   R (C_z - [I  0])   ]
-            [ (C_y - [0  I]) / beta ],
-
-    whose upper half is [z_{k+1}; y_{k+1}] and whose lower half has the
-    norm of r - M u_{k+1}, the recorded estimate.  S takes
-    2 (nz + ny) (nz + ny + 1) doubles, 0.58 MB at dimension 390 with
-    nz + ny = 190.  The x rows of an iterate are formed, as
-    [G' b] [z_k; y_k; 1], only for a confirmation and at the end.
+    so iterate 1 records ||(P - M) b||.  Each later sweep is the one
+    mat-vec [CU c; N (CU - I) N c] [t; 1], (2 ny + nz) x (ny + 1) doubles,
+    0.37 MB at dimension 390 with ny = 140 and nz = 50: its upper part is
+    the next t and its lower part has the norm of r - M u_{k+1}, the
+    recorded estimate.  An iterate is formed only for a confirmation and at
+    the end: u_{k+1} = u_0 + P^{-1} ((P - M)[0; w_k] + s0), one sweep of the
+    correction from the (z, y) part w_k = U t_{k-1} + b_zy, and one more
+    application of P^{-1}.
     """
     problem = engine.problem
     with _naming("admm", engine.beta):
         run = _Run(problem, u0, epsilon, max_iter, "admm", engine.beta)
         if run.converged:
             return run.finish(None)
-        nx, nz, n = problem.nx, problem.nz, problem.nz + problem.ny
-        cols = sweep_columns(engine)
-        X = apply_inverse(engine, np.column_stack((cols, run.r)))  # [G' b]
-        step = X[nx:] - np.eye(n, n + 1)  # [dz; dy] = step [z_k; y_k; 1]
-        R = np.linalg.qr(cols[:nx, :nz], mode="r")
-        S = np.concatenate((X[nx:], R @ step[:nz], step[nz:] / engine.beta))
-        v, v_next = np.append(run.u0[nx:], 1.0), np.ones(n + 1)  # [z_k; y_k; 1]
-        for _ in range(run.max_iter):
-            w = S @ v
-            v_next[:-1] = w[:n]
-            if run.add(w[n:]) and run.confirm(X @ v):
+        nx, ny = problem.nx, problem.ny
+        cols = sweep_columns(engine)  # (P - M)[:, nx:]
+        b = apply_inverse(engine, run.s0)
+        if run.add(cols @ b[nx:]) and run.confirm(run.u0 + b) or run.max_iter == 1:
+            return run.finish(lambda: run.u0 + b)  # iterate 1
+        kernel = kernel_sweep(engine)
+        c = kernel.offset(b)
+
+        def iterate(t):
+            """The iterate whose sweep read ``t``: u_0 plus one sweep of [0; U t + b_zy]."""
+            return run.u0 + apply_inverse(engine, cols @ (kernel.lift(t) + b[nx:]) + run.s0)
+
+        S = np.column_stack((kernel.step, np.concatenate((c, kernel.N @ c))))
+        t, t_next = np.zeros(ny + 1), np.ones(ny + 1)  # [t_k; 1] from t_0 = 0
+        t[-1] = 1.0
+        for _ in range(run.max_iter - 1):
+            w = S @ t
+            t_next[:-1] = w[:ny]
+            if run.add(w[ny:]) and run.confirm(iterate(t[:-1])):
                 break
-            v, v_next = v_next, v
-        return run.finish(lambda: X @ v_next)  # the last sweep read v_next
+            t, t_next = t_next, t
+        return run.finish(lambda: iterate(t_next[:-1]))  # the last sweep read t_next

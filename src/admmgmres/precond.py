@@ -7,7 +7,9 @@ exactly u + P^{-1} (r - M u).  :func:`make_engine` factors P(beta) once per
 (problem, beta) pair, and :func:`apply_inverse` is the only code that
 applies P^{-1}.  P - M is zero in the x columns, so G is too and a sweep
 reads only the z and y parts of u; :func:`sweep_columns` builds the other
-columns of P - M from the blocks.
+columns of P - M from the blocks.  :func:`kernel_sweep` writes the same
+sweep as a recurrence on one ny-vector, the coordinate in which the paper
+states its bounds.
 
 P(beta) factors as a unit upper-triangular augmentation times the block
 lower-triangular sweep operator,
@@ -26,19 +28,21 @@ assembly of P is provided for verification only and is guarded to small
 dimensions.
 
 A penalty sweep on one problem pays only for the penalty: each piece that
-does not depend on beta (A'A, A'B, chol(B'B), the spectral module's) is
-formed on first use and kept, by weak reference, for the latest problem.
+does not depend on beta (A'A, A'B, chol(B'B), the orthonormal basis
+Q' = L_B^{-1} B' of range(B), the factor R_a of A'Q, the spectral module's)
+is formed on first use and kept, by weak reference, for the latest problem.
 """
 
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .core import NumericalError, assemble_kkt, check_beta, stacked_parts
 
-__all__ = ["AdmmEngine", "make_engine", "apply_inverse", "assemble_precond", "sweep_columns"]
+__all__ = ["AdmmEngine", "KernelSweep", "make_engine", "apply_inverse", "assemble_precond",
+           "sweep_columns", "kernel_sweep"]
 
 _DENSE_GUARD = 400
 
@@ -133,6 +137,64 @@ def sweep_columns(engine):
     cols[:nx, :nz] = -beta * _piece(p, "A'B", lambda q: q.A.T @ q.B)
     cols[nx + nz :, nz:] = -(1.0 / beta) * np.eye(p.ny)
     return cols
+
+
+@dataclass
+class KernelSweep:
+    """The sweep of one engine in the kernel coordinate t = C [z; y], ny long.
+
+    G's (z, y) block factors as U C, with C = [-beta T B, I / beta - T] and
+    U = [-(B'B)^{-1} B'; beta (I - QQ')], where T = A (D + beta A'A)^{-1} A'
+    and the columns of Q span range(B).  The correction d_k = u_k - u_0 of
+    a sweep from u_0 then has (z, y) part w_k = U t_{k-1} + b_zy, with
+    t_0 = 0 and t_k = CU t_{k-1} + c for b = P^{-1} (r - M u_0) and
+    c = C b_zy.  CU = (I + Kt F) / 2 is similar to (I + K(beta)) / 2, the
+    operator the paper's bounds are stated on (Kt = 2 beta T - I and F the
+    reflection through range(B)).  P - M is zero in the x columns, so
+    r - M u_{k+1} = (P - M)(d_{k+1} - d_k) = (P - M)[0; U (t_k - t_{k-1})]
+    has the norm ||N (t_k - t_{k-1})|| for N = [beta R_a Q'; I - QQ'], with
+    R_a the nz x nz factor of a QR of A'Q.
+
+    ``step`` is [CU; N (CU - I)], so that ``step @ t`` plus [c; N c] is the
+    next t over the residual estimate; ``T`` holds beta T and ``Qt`` Q'.
+    """
+
+    engine: AdmmEngine
+    step: np.ndarray
+    N: np.ndarray
+    T: np.ndarray
+    Qt: np.ndarray
+
+    def offset(self, b):
+        """c = C b_zy for a stacked ``b``."""
+        p, T, beta = self.engine.problem, self.T, self.engine.beta
+        _, bz, by = stacked_parts(p, b)
+        return (by - T @ by) / beta - T @ (p.B @ bz)
+
+    def lift(self, t):
+        """U t, the stacked (z, y) correction that the kernel coordinate ``t`` stands for."""
+        q = self.Qt @ t
+        z = dtrtrs(self.engine.global_factor, q, lower=1, trans=1)[0]
+        return np.concatenate((-z, self.engine.beta * (t - self.Qt.T @ q)))
+
+
+def kernel_sweep(engine):
+    """The :class:`KernelSweep` of ``engine``: one triangular solve with its local factor.
+
+    Q' = L_B^{-1} B' for the factor L_B of B'B, and R_a, are kept per
+    problem; beta T = beta (L^{-1} A')' (L^{-1} A') comes from the local
+    factor L.  Nothing dim x dim is formed.
+    """
+    p, beta = engine.problem, engine.beta
+    Qt = _piece(p, "Q'", lambda q: dtrtrs(engine.global_factor, q.B.T, lower=1)[0])
+    Ra = _piece(p, "R_a", lambda q: np.linalg.qr(q.A.T @ Qt.T, mode="r"))
+    H = dtrtrs(engine.local_factor, p.A.T, lower=1)[0]  # L^{-1} A'
+    T = beta * (H.T @ H)
+    I_QQ = np.eye(p.ny) - Qt.T @ Qt
+    CU = I_QQ + 2.0 * (T @ Qt.T) @ Qt - T
+    N = np.concatenate((beta * (Ra @ Qt), I_QQ))
+    step = np.concatenate((CU, N @ (CU - np.eye(p.ny))))
+    return KernelSweep(engine, step, N, T, Qt)
 
 
 def check_dense(problem):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from admmgmres import precond
+from admmgmres import admm, precond
 from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import (
     NumericalError,
@@ -193,14 +193,20 @@ class TestSolve:
         assert abs(trace.residuals[-1] - kkt_residual(problem42, u)) <= roundoff
 
     def test_forms_p_inverse_once(self, problem42, monkeypatch):
-        # P^{-1} is applied once per solve, to one block, whatever the sweep
-        # count, and not at all when the start already meets the threshold
+        # P^{-1} is applied once for b = P^{-1} s0 and once per iterate a
+        # confirmation or the end forms, however many sweeps run between, and
+        # not at all when the start already meets the threshold
         calls = count_calls(monkeypatch, "apply_inverse")
+        confirm, confirmed = admm._Run.confirm, []
+        monkeypatch.setattr(admm._Run, "confirm",
+                            lambda run, u: confirmed.append(u) or confirm(run, u))
         eng = make_engine(problem42, 1.0)
         for max_iter in (2, 100_000):
             calls.clear()
+            confirmed.clear()
             trace = admm_solve(eng, max_iter=max_iter)
-            assert trace.iterations >= 2 and len(calls) == 1
+            assert trace.iterations >= 2 and len(confirmed) <= 2
+            assert len(calls) == 1 + len(confirmed)
         calls.clear()
         trace = admm_solve(eng, u0=direct_solve(problem42))
         assert trace.iterations == 0 and calls == []
@@ -257,13 +263,17 @@ class TestSolve:
         assert np.all(np.abs(trace.residuals - oracle) <= slack)
 
     def test_runs_above_the_dense_guard(self):
-        # the sweep builds G's columns from blocks, so the total-dimension
-        # guard of the explicit constructions (400) does not apply
+        # the sweep builds its pieces from blocks, so the total-dimension
+        # guard of the explicit constructions (400) does not apply; 100x is
+        # the penalty of the bench's slowest ADMM runs
         p = seeded_problem(210, 150, 50, 0.35, 3)
         m, ell, _ = dtilde_extremes(p)
-        trace = admm_solve(make_engine(p, math.sqrt(m * ell)))
-        assert p.dim == 410 and trace.converged
-        assert abs(trace.residuals[-1] - kkt_residual(p, trace.solution)) <= 1e-12 * trace.residuals[0]
+        assert p.dim == 410
+        for mult in (1.0, 100.0):
+            trace = admm_solve(make_engine(p, mult * math.sqrt(m * ell)))
+            assert trace.converged, mult
+            error = abs(trace.residuals[-1] - kkt_residual(p, trace.solution))
+            assert error <= 1e-12 * trace.residuals[0], mult
 
     def test_prop_estimate_dominates_seed42(self, problem42):
         m, ell, kappa = dtilde_extremes(problem42)

@@ -73,8 +73,9 @@ class TestApplyInverse:
     @pytest.mark.parametrize("dims", [(1, 1, 1), (6, 4, 2), (12, 9, 9), (40, 25, 7)])
     @pytest.mark.parametrize("beta", [1e-6, 0.3, 1.0, 2e5])
     def test_bits_equal_the_cho_solve_oracle(self, dims, beta):
-        # vectors, C- and F-ordered blocks, and the column_stack block that
-        # admm_solve applies P^{-1} to once per solve
+        # vectors, C- and F-ordered blocks, and a block of the columns
+        # (P - M)[:, nx:] that build_iteration_matrix and the spectral
+        # report apply P^{-1} to, here beside r
         p = seeded_problem(*dims, 0.7, sum(dims))
         eng = make_engine(p, beta)
         rng = np.random.default_rng(len(dims) + p.dim)

@@ -11,7 +11,9 @@ Right-preconditioned GMRES is checked against plain ADMM for penalties
 within two orders of magnitude of [m, ell], the range over which the README
 promises penalty insensitivity; further out its roundoff grows with kappa_P.
 Over the same range a short ADMM solve is checked sweep by sweep against
-repeated :func:`admm_step`, the factored form of the sweep, and the iterate
+repeated :func:`admm_step`, the factored form of the sweep; the kernel
+recurrence it runs on has the spectrum (1 + eig(K)) / 2 of the paper's
+operator and reads each residual right off its own state; and the iterate
 each solver returns is checked against :func:`direct_solve` through the
 forward-error bound ||u - u*|| <= ||M^{-1}||_2 ||M u - r||.
 """
@@ -22,15 +24,17 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import SaddleProblem, assemble_kkt, direct_solve, kkt_residual
 from admmgmres.gmres import admm_gmres_solve
-from admmgmres.precond import apply_inverse, assemble_precond, sweep_columns
+from admmgmres.precond import apply_inverse, assemble_precond, kernel_sweep, sweep_columns
 from admmgmres.randgen import GenSpec, random_problem
 from admmgmres.spectral import (
     SpectralReport,
     build_iteration_matrix,
+    build_k_matrix,
     classify_and_verify,
     conditioning_factors,
     dtilde_extremes,
@@ -176,6 +180,48 @@ def test_short_solve_follows_the_step_oracle(case, k):
     assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * size
     slack = bound * (np.linalg.norm(assemble_kkt(problem), 2) * size + np.linalg.norm(problem.rhs()))
     assert np.all(np.abs(trace.residuals - residuals) <= slack)
+
+
+@PROPERTY
+@given(cases(span=1e2))
+def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
+    # CU = (I + Kt F) / 2 is orthogonally similar to (I + K) / 2, so its
+    # eigenvalues match those of K one to one within Bauer-Fike's
+    # cond(X) ||E||.  CU is formed through the factor of D + beta A'A, whose
+    # roundoff grows with gamma = max(beta / m, ell / beta); seen: under
+    # 5e-3 of this bound.
+    problem, beta, _ = case
+    CU = kernel_sweep(make_engine(problem, beta)).step[: problem.ny]
+    lam, X = np.linalg.eig(build_k_matrix(problem, beta).K)
+    m, ell, _ = dtilde_extremes(problem)
+    gap = np.abs(np.linalg.eigvals(CU)[:, None] - (1.0 + lam[None, :]) / 2.0)
+    rows, cols = linear_sum_assignment(gap)
+    assert np.max(gap[rows, cols]) <= TOL * np.linalg.cond(X) * max(beta / m, ell / beta)
+
+
+@PROPERTY
+@given(cases(span=1e2))
+def test_kernel_estimate_is_the_fresh_residual_of_its_iterate(case):
+    # for any t the lower rows of the sweep, N (CU - I) t + N c, have the
+    # norm of r - M u(t), where u(t) is one admm_step from the start moved
+    # by [0; U t + b_zy]; slack as in the step-oracle test at extreme
+    # penalties
+    problem, beta, rng = case
+    engine = make_engine(problem, beta)
+    kernel = kernel_sweep(engine)
+    u0 = rng.standard_normal(problem.dim)
+    s0 = problem.rhs() - assemble_kkt(problem) @ u0
+    b = apply_inverse(engine, s0)
+    c, t = kernel.offset(b), rng.standard_normal(problem.ny)
+    estimate = np.linalg.norm(kernel.step[problem.ny :] @ t + kernel.N @ c)
+    start = u0.copy()
+    start[problem.nx :] += kernel.lift(t) + b[problem.nx :]
+    u = admm_step(engine, start)
+    M, P = assemble_kkt(problem), assemble_precond(engine)
+    scale = np.linalg.norm(M @ np.linalg.inv(P), 2) * np.linalg.norm(P, 2)
+    size = max(map(np.linalg.norm, (u0, start, u)))
+    slack = TOL * (scale * size + np.linalg.norm(problem.rhs()))
+    assert abs(estimate - kkt_residual(problem, u)) <= slack
 
 
 @PROPERTY
