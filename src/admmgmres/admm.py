@@ -101,8 +101,9 @@ class _Run:
         """Record ||s|| as the next iterate's residual; True once it meets the threshold.
 
         ``u`` marks ``s`` as the fresh residual r - M u of that iterate, which
-        becomes the solution; without it the entry is an estimate and
-        ``solution`` is None until :meth:`confirm` replaces it.
+        becomes the solution and is kept as ``fresh``; without it the entry
+        is an estimate and ``solution`` is None until :meth:`confirm`
+        replaces it.
         """
         res = math.sqrt(s @ s)  # the bits of np.linalg.norm on a contiguous vector
         if not math.isfinite(res):
@@ -116,7 +117,7 @@ class _Run:
                 f"last finite iteration was {k - 1} with residual {self.residuals[-1]:.3e}"
             )
         self.residuals.append(res)
-        self.solution = u
+        self.solution, self.fresh = u, s
         return res <= self.threshold
 
     def confirm(self, u):
@@ -136,6 +137,17 @@ class _Run:
         return IterationTrace(np.asarray(self.residuals), self.iterations, self.converged,
                               self.epsilon, self.method_tag, self.beta,
                               np.array(self.solution, dtype=float))
+
+
+def _sweep_iterate(engine, cols, kernel, u, s, b):
+    """The map from a kernel coordinate t to the iterate whose sweep read it.
+
+    ``u`` is the start, ``s`` = r - M u its residual, ``cols`` = (P - M)[:, nx:]
+    and b = P^{-1} s.  The iterate is u plus one sweep of the correction from
+    [0; U t + b_zy], which costs one application of P^{-1}.
+    """
+    nx = engine.problem.nx
+    return lambda t: u + apply_inverse(engine, cols @ (kernel.lift(t) + b[nx:]) + s)
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
@@ -177,11 +189,7 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
             return run.finish(lambda: run.u0 + b)  # iterate 1
         kernel = kernel_sweep(engine)
         c = kernel.offset(b)
-
-        def iterate(t):
-            """The iterate whose sweep read ``t``: u_0 plus one sweep of [0; U t + b_zy]."""
-            return run.u0 + apply_inverse(engine, cols @ (kernel.lift(t) + b[nx:]) + run.s0)
-
+        iterate = _sweep_iterate(engine, cols, kernel, run.u0, run.s0, b)
         S = np.column_stack((kernel.step, np.concatenate((c, kernel.N @ c))))
         t, t_next = np.zeros(ny + 1), np.ones(ny + 1)  # [t_k; 1] from t_0 = 0
         t[-1] = 1.0

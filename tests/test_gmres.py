@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from admmgmres.gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
 from conftest import count_calls, random_dims, seeded_problem
+
+gmres_module = importlib.import_module("admmgmres.gmres")  # the package re-exports gmres
 
 
 def matrix_op(M):
@@ -340,20 +343,19 @@ class TestAdmmGmres:
                 assert trace.residuals[-1] <= 1e-6 * trace.residuals[0]
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("max_iter", [None, 2], ids=["converged", "capped"])
+    @pytest.mark.parametrize("max_iter", [None, 4], ids=["converged", "capped"])
     def test_one_operator_application_per_step(self, problem42, monkeypatch, side, max_iter):
-        # the monitor reads the residual from the Arnoldi images, so beyond
-        # one of each per step only the start and the stop add work: the
-        # left side's right-hand side or the right side's recovery of the
-        # stopping iterate is the one more P^{-1}, the start residual and the
-        # stop's fresh residual the two more M (the right side once made
-        # 2k + 1 kkt_matvec calls)
+        # an Arnoldi step applies only the kernel step [CU; N (CU - I)] and
+        # reads its residual from the image it keeps, so the P^{-1} and M
+        # counts do not grow with k: one P^{-1} for b = P^{-1} s0 and one to
+        # form the iterate that stops the run, one M for s0 and one for that
+        # iterate's fresh residual (the full-space drivers made k + 1 and
+        # k + 2 calls)
         inverses = count_calls(monkeypatch, "apply_inverse")
         matvecs = count_calls(monkeypatch, "kkt_matvec")
         trace = admm_gmres_solve(problem42, 1.0, side, max_iter=max_iter)
-        k = trace.iterations
-        assert k >= 2
-        assert (len(inverses), len(matvecs)) == (k + 1, k + 2)
+        assert trace.iterations >= 4
+        assert (len(inverses), len(matvecs)) == (2, 2)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_huge_max_iter_allocates_by_dimension(self, problem42, side):
@@ -365,6 +367,29 @@ class TestAdmmGmres:
         assert huge.residuals.tobytes() == default.residuals.tobytes()
         assert huge.solution.tobytes() == default.solution.tobytes()
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_extreme_draw_converges(self, side):
+        # draw 283 of the span-1e4 extreme-penalty study, kappa(P) about 1e10:
+        # the full-space right driver stalled above the threshold
+        p = seeded_problem(11, 5, 4, 0.9479593669328659, 4017616053)
+        trace = admm_gmres_solve(p, 2.879836852326262e-06, side, epsilon=1e-6)
+        assert trace.converged
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_correction_cycles_refine_a_stalled_run(self, monkeypatch, side):
+        # kappa 1.9e6 at beta = 1e4 ell: the first Krylov run on the 4 x 4
+        # kernel system ends at 1e-3 of the start, far above the threshold;
+        # cycles started from the fresh residual r - M u meet it (seen: on
+        # the third), and the trace records every run
+        p = seeded_problem(19, 4, 4, 1.593341373592157, 2649730957)
+        beta = 1818917.2179890736
+        trace = admm_gmres_solve(p, beta, side)
+        assert trace.converged
+        assert trace.iterations > 1 + p.ny
+        monkeypatch.setattr(gmres_module, "_CYCLES", 1)
+        single = admm_gmres_solve(p, beta, side)
+        assert not single.converged and single.iterations == 1 + p.ny
+
     def test_side_validation(self, problem42):
         with pytest.raises(ValueError, match="side"):
             admm_gmres_solve(problem42, 1.0, "up")
@@ -375,3 +400,28 @@ class TestAdmmGmres:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="max_iter"):
                 admm_gmres_solve(problem42, 1.0, side, max_iter=bad)
+
+
+def extreme_draws(span):
+    """The extreme-penalty study: small problems, beta log-uniform on [m / span, span ell]."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        nx = int(rng.integers(1, 13))
+        ny = int(rng.integers(1, nx + 1))
+        nz = int(rng.integers(1, ny + 1))
+        s, seed = float(rng.uniform()), int(rng.integers(0, 2**32))
+        p = seeded_problem(nx, ny, nz, s, seed)
+        m, ell, _ = dtilde_extremes(p)
+        lo, hi = math.log(m / span), math.log(span * ell)
+        yield p, math.exp(lo + float(rng.uniform()) * (hi - lo))
+
+
+@pytest.mark.parametrize("span", [1e2, 1e4, 1e6])
+def test_extreme_penalty_study_converges(span):
+    # the full-space drivers left 0/0, 0/1 and 4/60 (left/right) of these
+    # runs unconverged at spans 1e2, 1e4 and 1e6
+    unconverged = {"left": 0, "right": 0}
+    for p, beta in extreme_draws(span):
+        for side in unconverged:
+            unconverged[side] += not admm_gmres_solve(p, beta, side, epsilon=1e-6).converged
+    assert unconverged == {"left": 0, "right": 0}

@@ -15,7 +15,8 @@ repeated :func:`admm_step`, the factored form of the sweep; the kernel
 recurrence it runs on has the spectrum (1 + eig(K)) / 2 of the paper's
 operator and reads each residual right off its own state; and the iterate
 each solver returns is checked against :func:`direct_solve` through the
-forward-error bound ||u - u*|| <= ||M^{-1}||_2 ||M u - r||.
+forward-error bound ||u - u*|| <= ||M^{-1}||_2 ||M u - r||.  Both GMRES
+sides are also checked over [1e-6 m, 1e6 ell], where they must converge.
 """
 
 import dataclasses
@@ -224,23 +225,41 @@ def test_kernel_estimate_is_the_fresh_residual_of_its_iterate(case):
     assert abs(estimate - kkt_residual(problem, u)) <= slack
 
 
-@PROPERTY
-@given(cases(span=1e2), st.sampled_from(["admm", "left", "right"]))
-def test_solution_is_as_close_as_its_residual_allows(case, method):
-    # u - u* = M^{-1} (M u - r) for the exact u*, so the returned iterate is
-    # within ||M u - r|| / sigma_min(M) of it, converged or not; the solver's
-    # last recorded residual is that ||M u - r||, so a solution that does not
-    # match it fails.  Roundoff: the recorded residual is off by about
-    # dim eps (||M|| ||u|| + ||r||), and direct_solve and sigma_min by about
-    # dim eps kappa(M) relative; rho covers both ten times over.
-    problem, beta, _ = case
-    if method == "admm":
-        trace = admm_solve(make_engine(problem, beta), max_iter=20_000)
-    else:
-        trace = admm_gmres_solve(problem, beta, method)
+def assert_as_close_as_its_residual_allows(problem, trace):
+    """The returned iterate is within its last recorded residual of the exact solution.
+
+    u - u* = M^{-1} (M u - r) for the exact u*, so the returned iterate is
+    within ||M u - r|| / sigma_min(M) of it, converged or not; the solver's
+    last recorded residual is that ||M u - r||, so a solution that does not
+    match it fails.  Roundoff: the recorded residual is off by about
+    dim eps (||M|| ||u|| + ||r||), and direct_solve and sigma_min by about
+    dim eps kappa(M) relative; rho covers both ten times over.
+    """
     M = assemble_kkt(problem)
     u, exact = trace.solution, direct_solve(problem)
     sigma = np.linalg.svd(M, compute_uv=False)
     rho = 10 * problem.dim * np.finfo(float).eps * sigma[0] / sigma[-1]
     bound = (1 + rho) * trace.residuals[-1] / sigma[-1]
     assert np.linalg.norm(u - exact) <= bound + rho * (np.linalg.norm(u) + np.linalg.norm(exact))
+
+
+@PROPERTY
+@given(cases(span=1e2), st.sampled_from(["admm", "left", "right"]))
+def test_solution_is_as_close_as_its_residual_allows(case, method):
+    problem, beta, _ = case
+    if method == "admm":
+        trace = admm_solve(make_engine(problem, beta), max_iter=20_000)
+    else:
+        trace = admm_gmres_solve(problem, beta, method)
+    assert_as_close_as_its_residual_allows(problem, trace)
+
+
+@PROPERTY
+@given(cases(span=1e6), st.sampled_from(["left", "right"]))
+def test_gmres_converges_over_the_wide_penalty_range(case, side):
+    # penalties from 1e-6 m to 1e6 ell, where kappa(P) reaches about 1e14:
+    # the correction cycles bring either side to the threshold
+    problem, beta, _ = case
+    trace = admm_gmres_solve(problem, beta, side)
+    assert trace.converged
+    assert_as_close_as_its_residual_allows(problem, trace)
