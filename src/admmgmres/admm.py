@@ -24,6 +24,13 @@ __all__ = [
     "admm_solve",
 ]
 
+# Sweeps per block of admm_solve.  One matmul by N' gives a block's residual
+# estimates, and a run that stops inside a block has paid for the rest of it.
+# On the first 12 ADMM solves of the benchmark's `large` workload (dimension
+# 390; one BLAS thread, OpenBLAS 0.3.31, 2-core Xeon; fastest of 5) blocks of
+# 8, 16 and 32 took 123, 107 and 101 ms, against 172 ms sweep by sweep.
+_BLOCK = 16
+
 
 @dataclass
 class IterationTrace:
@@ -105,7 +112,26 @@ class _Run:
         is an estimate and ``solution`` is None until :meth:`confirm`
         replaces it.
         """
-        res = math.sqrt(s @ s)  # the bits of np.linalg.norm on a contiguous vector
+        self._append(math.sqrt(s @ s))  # the bits of np.linalg.norm on a contiguous vector
+        self.solution, self.fresh = u, s
+        return self.residuals[-1] <= self.threshold
+
+    def add_block(self, estimates, iterate):
+        """Record the residual estimates ``estimates`` in order; True once one is confirmed.
+
+        Each entry is checked as in :meth:`add`.  One that meets the
+        threshold is confirmed with ``iterate(j)``, the iterate of entry j,
+        formed only then; if the confirmation fails, the next entry follows.
+        """
+        for j, res in enumerate(estimates.tolist()):
+            self._append(res)
+            self.solution = None
+            if res <= self.threshold and self.confirm(iterate(j)):
+                return True
+        return False
+
+    def _append(self, res):
+        """Append ``res`` to the history, raising on a non-finite value."""
         if not math.isfinite(res):
             k = len(self.residuals)
             if k == 0:
@@ -117,8 +143,6 @@ class _Run:
                 f"last finite iteration was {k - 1} with residual {self.residuals[-1]:.3e}"
             )
         self.residuals.append(res)
-        self.solution, self.fresh = u, s
-        return res <= self.threshold
 
     def confirm(self, u):
         """Replace the last entry by the fresh residual r - M u of ``u``; True once converged."""
@@ -168,12 +192,15 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
 
         r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta],
 
-    so iterate 1 records ||(P - M) b||.  Each later sweep is the one
-    mat-vec [CU c; N (CU - I) N c] [t; 1], (2 ny + nz) x (ny + 1) doubles,
-    0.37 MB at dimension 390 with ny = 140 and nz = 50: its upper part is
-    the next t and its lower part has the norm of r - M u_{k+1}, the
-    recorded estimate.  An iterate is formed only for a confirmation and at
-    the end: u_{k+1} = u_0 + P^{-1} ((P - M)[0; w_k] + s0), one sweep of the
+    so iterate 1 records ||(P - M) b||.  The kernel coordinate runs
+    t_k = CU t_{k-1} + c from t_0 = 0, and the loop carries its differences
+    d_k = t_k - t_{k-1} instead: d_1 = c and d_{k+1} = CU d_k, which cannot
+    grow since ||CU|| <= 1.  Iterate k + 1 records the estimate ||N d_k||,
+    the norm of r - M u_{k+1}.  Sweeps run in blocks of up to ``_BLOCK``:
+    one ny x ny gemv per sweep fills the block's differences, one matmul by
+    N' gives all their residual images, and the block is recorded at once.
+    An iterate is formed only for a confirmation and at the end:
+    u_{k+1} = u_0 + P^{-1} ((P - M)[0; w_k] + s0), one sweep of the
     correction from the (z, y) part w_k = U t_{k-1} + b_zy, and one more
     application of P^{-1}.
     """
@@ -182,21 +209,30 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
         run = _Run(problem, u0, epsilon, max_iter, "admm", engine.beta)
         if run.converged:
             return run.finish(None)
-        nx, ny = problem.nx, problem.ny
+        nx = problem.nx
         cols = sweep_columns(engine)  # (P - M)[:, nx:]
         b = apply_inverse(engine, run.s0)
         if run.add(cols @ b[nx:]) and run.confirm(run.u0 + b) or run.max_iter == 1:
             return run.finish(lambda: run.u0 + b)  # iterate 1
         kernel = kernel_sweep(engine)
-        c = kernel.offset(b)
+        # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
+        # column-major CU took 4.0 us against 5.1, and the block's matmul by
+        # a row-major N' 24 us against 44 for the view N.T
+        CU = np.asfortranarray(kernel.CU)
+        NT = np.ascontiguousarray(kernel.N.T)
         iterate = _sweep_iterate(engine, cols, kernel, run.u0, run.s0, b)
-        S = np.column_stack((kernel.step, np.concatenate((c, kernel.N @ c))))
-        t, t_next = np.zeros(ny + 1), np.ones(ny + 1)  # [t_k; 1] from t_0 = 0
-        t[-1] = 1.0
-        for _ in range(run.max_iter - 1):
-            w = S @ t
-            t_next[:-1] = w[:ny]
-            if run.add(w[ny:]) and run.confirm(iterate(t[:-1])):
-                break
-            t, t_next = t_next, t
-        return run.finish(lambda: iterate(t_next[:-1]))  # the last sweep read t_next
+        D = np.empty((_BLOCK, problem.ny))  # D[j] = d_{k+j} for a block from iterate k + 1
+        D[0] = kernel.offset(b)  # d_1 = c
+        t = np.zeros(problem.ny)  # t_{k-1}, read by the block's first sweep
+        while True:
+            p = min(_BLOCK, run.max_iter - run.iterations)
+            for j in range(p - 1):
+                np.dot(CU, D[j], out=D[j + 1])
+            E = D[:p] @ NT
+            estimates = np.sqrt(np.einsum("ij,ij->i", E, E))
+            if run.add_block(estimates, lambda j: iterate(t + D[:j].sum(0))):
+                return run.finish(None)
+            if run.iterations == run.max_iter:
+                return run.finish(lambda: iterate(t + D[: p - 1].sum(0)))
+            t += D[:p].sum(0)
+            np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full

@@ -3,8 +3,8 @@
 Subcommands
 -----------
 gen       write a random problem to a JSON file (deterministic per seed)
-solve     run one solver on a problem file; writes a trace CSV and a run
-          record JSON
+solve     run one solver on a problem file; writes a trace CSV, a run
+          record JSON and the solution JSON
 spectrum  write the spectral report for one (problem, beta) pair
 bounds    dump one bound curve as CSV
 scaling   random-problem sweep comparing ADMM at the optimal penalty with
@@ -27,7 +27,7 @@ import numpy as np
 from .admm import admm_solve
 from .bounds import curve_to_csv, theorem_curve
 from .core import (NumericalError, check_beta, check_epsilon, check_max_iter, load_problem,
-                   problem_from_dict, save_problem)
+                   problem_from_dict, save_problem, stacked_parts)
 from .gmres import admm_gmres_solve
 from .precond import make_engine
 from .randgen import GenSpec, random_problem, sample_beta
@@ -144,7 +144,8 @@ def cmd_solve(args):
     prefix = args.out_prefix or str(Path(args.problem).with_suffix("")) + f".{args.method}"
     trace_path = prefix + ".trace.csv"
     record_path = prefix + ".json"
-    _refuse_to_overwrite(args.problem, trace_path, record_path)
+    solution_path = prefix + ".solution.json"
+    _refuse_to_overwrite(args.problem, trace_path, record_path, solution_path)
     raw = json.loads(Path(args.problem).read_text(encoding="utf-8"))
     problem = problem_from_dict(raw)
     provenance = raw.get("provenance", {})
@@ -172,12 +173,15 @@ def cmd_solve(args):
 
     _write_text(trace_path, _trace_csv(trace))
     _write_text(record_path, json.dumps(asdict(record), indent=1, sort_keys=True) + "\n")
+    parts = dict(zip("xzy", (part.tolist() for part in stacked_parts(problem, trace.solution))))
+    _write_text(solution_path, json.dumps(parts, indent=1, sort_keys=True) + "\n")
     print(
         f"{trace.method_tag} beta={beta:.6g} iterations={trace.iterations} "
         f"converged={trace.converged}"
     )
     print(trace_path)
     print(record_path)
+    print(solution_path)
     return 0
 
 

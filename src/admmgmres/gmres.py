@@ -179,11 +179,12 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
     return GmresResult(x, np.asarray(inner), k, breakdown)
 
 
-def _kernel_run(run, kernel, side, c, iterate):
+def _kernel_run(run, kernel, step, side, c, iterate):
     """One GMRES run on (I - CU) t = c from t = 0; the last iterate's t, or None.
 
-    Step j keeps the residual image z_j = N (CU - I) v_j of its Arnoldi
-    vector, so the iterate t = V_k y has the true residual norm
+    ``step`` is [CU; N (CU - I)], so one mat-vec gives the Arnoldi image of
+    v_j and the residual image z_j = N (CU - I) v_j that step j keeps.  The
+    iterate t = V_k y then has the true residual norm
     ||N rho(t)|| = ||N c + Z_k y||, which is recorded.  The left side takes
     y from GMRES's own least-squares problem; the right side minimizes
     ||N c + Z_k y|| through a QR of Z_k that grows by one column per step,
@@ -200,7 +201,7 @@ def _kernel_run(run, kernel, side, c, iterate):
     last = None
 
     def image(v):
-        w = kernel.step @ v  # [CU v; N (CU - I) v]
+        w = step @ v  # [CU v; N (CU - I) v]
         Z[:, next(calls)] = w[ny:]
         return v - w[:ny]
 
@@ -282,6 +283,7 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
         nx = problem.nx
         cols = sweep_columns(engine)  # (P - M)[:, nx:]
         kernel = kernel_sweep(engine)
+        step = np.concatenate((kernel.CU, kernel.N @ (kernel.CU - np.eye(problem.ny))))
         u, s = run.u0, run.s0
         for _ in range(_CYCLES):
             b = apply_inverse(engine, s)
@@ -289,7 +291,7 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
             if run.add(cols @ b[nx:]) and run.confirm(u + b) or run.iterations == run.max_iter:
                 break
             iterate = _sweep_iterate(engine, cols, kernel, u, s, b)
-            t = _kernel_run(run, kernel, side, kernel.offset(b), iterate)
+            t = _kernel_run(run, kernel, step, side, kernel.offset(b), iterate)
             if t is not None:  # None: c = 0, so the run took no step
                 final = lambda: iterate(t)
             if run.solution is None:

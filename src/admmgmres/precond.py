@@ -29,8 +29,9 @@ dimensions.
 
 A penalty sweep on one problem pays only for the penalty: each piece that
 does not depend on beta (A'A, A'B, chol(B'B), the orthonormal basis
-Q' = L_B^{-1} B' of range(B), the factor R_a of A'Q, the spectral module's)
-is formed on first use and kept, by weak reference, for the latest problem.
+Q' = L_B^{-1} B' of range(B), I - QQ', the factor R_a of A'Q, the spectral
+module's) is formed on first use and kept, by weak reference, for the latest
+problem.
 """
 
 import weakref
@@ -155,12 +156,11 @@ class KernelSweep:
     has the norm ||N (t_k - t_{k-1})|| for N = [beta R_a Q'; I - QQ'], with
     R_a the nz x nz factor of a QR of A'Q.
 
-    ``step`` is [CU; N (CU - I)], so that ``step @ t`` plus [c; N c] is the
-    next t over the residual estimate; ``T`` holds beta T and ``Qt`` Q'.
+    ``CU`` and ``N`` are those two matrices, ``T`` holds beta T and ``Qt`` Q'.
     """
 
     engine: AdmmEngine
-    step: np.ndarray
+    CU: np.ndarray
     N: np.ndarray
     T: np.ndarray
     Qt: np.ndarray
@@ -181,20 +181,19 @@ class KernelSweep:
 def kernel_sweep(engine):
     """The :class:`KernelSweep` of ``engine``: one triangular solve with its local factor.
 
-    Q' = L_B^{-1} B' for the factor L_B of B'B, and R_a, are kept per
-    problem; beta T = beta (L^{-1} A')' (L^{-1} A') comes from the local
+    Q' = L_B^{-1} B' for the factor L_B of B'B, R_a and I - QQ' are kept
+    per problem; beta T = beta (L^{-1} A')' (L^{-1} A') comes from the local
     factor L.  Nothing dim x dim is formed.
     """
     p, beta = engine.problem, engine.beta
     Qt = _piece(p, "Q'", lambda q: dtrtrs(engine.global_factor, q.B.T, lower=1)[0])
     Ra = _piece(p, "R_a", lambda q: np.linalg.qr(q.A.T @ Qt.T, mode="r"))
+    I_QQ = _piece(p, "I - QQ'", lambda q: np.eye(q.ny) - Qt.T @ Qt)
     H = dtrtrs(engine.local_factor, p.A.T, lower=1)[0]  # L^{-1} A'
     T = beta * (H.T @ H)
-    I_QQ = np.eye(p.ny) - Qt.T @ Qt
     CU = I_QQ + 2.0 * (T @ Qt.T) @ Qt - T
     N = np.concatenate((beta * (Ra @ Qt), I_QQ))
-    step = np.concatenate((CU, N @ (CU - np.eye(p.ny))))
-    return KernelSweep(engine, step, N, T, Qt)
+    return KernelSweep(engine, CU, N, T, Qt)
 
 
 def check_dense(problem):

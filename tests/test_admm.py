@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -14,7 +15,7 @@ from admmgmres.core import (
     kkt_residual,
 )
 from admmgmres.gmres import admm_gmres_solve
-from admmgmres.precond import apply_inverse, assemble_precond
+from admmgmres.precond import apply_inverse, assemble_precond, kernel_sweep
 from admmgmres.spectral import (
     build_iteration_matrix,
     build_k_matrix,
@@ -222,19 +223,22 @@ class TestSolve:
         assert trace.iterations >= 3 and trace.converged == (max_iter is None)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100_000])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, admm._BLOCK - 1, admm._BLOCK, admm._BLOCK + 1,
+                                          2 * admm._BLOCK + 1, 100_000])
     def test_run_ends_on_its_last_sweep(self, problem42, max_iter):
         # a sweep forms only z and y; the x block of the final iterate is
-        # built from the [z; y; 1] the last sweep read, so a capped or
-        # converged run ends on as many factored sweeps as it records, from
-        # a start whose x block is not zero
+        # built from the kernel coordinate the last sweep read, so a capped
+        # or converged run ends on as many factored sweeps as it records,
+        # from a start whose x block is not zero.  Sweeps run in blocks from
+        # iterate 2 on, so the caps end a run before, on and after the end
+        # of a block; the converged run (58 sweeps) stops inside one.
         engine = make_engine(problem42, 0.7)
         u0 = np.random.default_rng(4).standard_normal(problem42.dim)
         trace = admm_solve(engine, u0=u0, max_iter=max_iter)
         iterates = [u0]
         for _ in range(trace.iterations):
             iterates.append(admm_step(engine, iterates[-1]))
-        assert trace.converged == (max_iter > 3)
+        assert trace.converged == (max_iter == 100_000)
         assert trace.converged or trace.iterations == max_iter
         bound = TOL * np.linalg.cond(assemble_precond(engine), 2)
         assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * max(map(np.linalg.norm, iterates))
@@ -261,6 +265,57 @@ class TestSolve:
         slack = TOL * (scale * max(map(np.linalg.norm, iterates)) + np.linalg.norm(problem.rhs()))
         oracle = [kkt_residual(problem, u) for u in iterates]
         assert np.all(np.abs(trace.residuals - oracle) <= slack)
+
+    def test_failed_confirmation_inside_a_block_goes_on_with_the_block(self, monkeypatch):
+        # at beta = m / 100 and eps = 3e-12 the estimates fall below the
+        # threshold from iterate 8 on, the seventh entry of the first block,
+        # while the fresh residuals of iterates 8 and 9 stay at the roundoff
+        # floor above it (seen: 1.35 times it) and that of iterate 10 falls
+        # below it (0.95 times).  The run must go on with the next entries
+        # of the same block after each failed confirmation, every failed one
+        # leaving its fresh residual in the history, which must follow the
+        # admm_step oracle with the slack of the extreme-penalty test above
+        problem = seeded_problem(9, 9, 9, 1.2, 8)
+        engine = make_engine(problem, 1e-2 * dtilde_extremes(problem)[0])
+        confirm, confirmed = admm._Run.confirm, []
+
+        def confirm_spy(run, u):  # (index of the confirmed entry, outcome)
+            confirmed.append((run.iterations, confirm(run, u)))
+            return confirmed[-1][1]
+
+        monkeypatch.setattr(admm._Run, "confirm", confirm_spy)
+        u0 = np.random.default_rng(1).standard_normal(problem.dim)
+        trace = admm_solve(engine, u0=u0, epsilon=3e-12, max_iter=40)
+        assert confirmed == [(8, False), (9, False), (10, True)]
+        assert 0 < (8 - 2) % admm._BLOCK < (10 - 2) % admm._BLOCK < admm._BLOCK
+        assert trace.converged and len(trace.residuals) == trace.iterations + 1 == 11
+        iterates = [u0]
+        for _ in range(trace.iterations):
+            iterates.append(admm_step(engine, iterates[-1]))
+        M, P = assemble_kkt(problem), assemble_precond(engine)
+        scale = np.linalg.norm(M @ np.linalg.inv(P), 2) * np.linalg.norm(P, 2)
+        slack = TOL * (scale * max(map(np.linalg.norm, iterates)) + np.linalg.norm(problem.rhs()))
+        oracle = [kkt_residual(problem, u) for u in iterates]
+        assert np.all(np.abs(trace.residuals - oracle) <= slack)
+
+    def test_non_finite_estimate_inside_a_block_names_its_iteration(self, problem42, monkeypatch):
+        # a CU scaled by 1e100 grows the difference chain d_{k+1} = CU d_k by
+        # about 1e100 a sweep, so the estimate ||N d_k|| of iterate k + 1
+        # overflows a few entries into the first block; the record must
+        # raise there, with the message of a single non-finite entry
+        engine = make_engine(problem42, 1.0)
+        kernel = kernel_sweep(engine)
+        scaled = dataclasses.replace(kernel, CU=1e100 * kernel.CU)
+        monkeypatch.setattr(admm, "kernel_sweep", lambda engine: scaled)
+        d, k = kernel.offset(apply_inverse(engine, problem42.rhs())), 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            while math.isfinite(math.sqrt((kernel.N @ d) @ (kernel.N @ d))):
+                d, k = scaled.CU @ d, k + 1
+            assert 2 < k < admm._BLOCK
+            with pytest.raises(NumericalError, match=(
+                rf"^admm at beta=1.0: non-finite KKT residual at iteration {k}; "
+                rf"last finite iteration was {k - 1} with residual ")):
+                admm_solve(engine)
 
     def test_runs_above_the_dense_guard(self):
         # the sweep builds its pieces from blocks, so the total-dimension

@@ -9,7 +9,7 @@ import pytest
 
 from admmgmres import cli
 from admmgmres.cli import main
-from admmgmres.core import NumericalError, load_problem, save_problem
+from admmgmres.core import NumericalError, assemble_kkt, direct_solve, load_problem, save_problem
 from admmgmres.spectral import dtilde_extremes
 from conftest import extremes_problem
 
@@ -65,6 +65,31 @@ class TestSolve:
         assert [*rows[0]] == ["k", "rel_residual"]
         assert len(rows) == record["iterations"] + 1
         assert float(rows[0]["rel_residual"]) == 1.0
+
+    @pytest.mark.parametrize("method", ["admm", "gmres-left", "gmres-right"])
+    @pytest.mark.parametrize("max_iter", [None, 3], ids=["converged", "capped"])
+    def test_solution_file_is_as_close_as_the_runs_residual_allows(self, tmp_path, problem_file,
+                                                                    method, max_iter):
+        # u - u* = M^{-1} (M u - r), so the written u is within the run's last
+        # residual ||M u - r|| = final_rel_residual * ||r|| (from the zero
+        # start) over sigma_min(M) of direct_solve, converged or not; rho
+        # covers the roundoff of both sides as in the solver property test
+        prefix = tmp_path / "run"
+        cap = [] if max_iter is None else ["--max-iter", str(max_iter)]
+        assert main(["solve", str(problem_file), "--method", method, "--beta", "0.9",
+                     "--out-prefix", str(prefix), *cap]) == 0
+        record = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+        solution = json.loads((tmp_path / "run.solution.json").read_text(encoding="utf-8"))
+        assert record["converged"] == (max_iter is None)
+        p = load_problem(problem_file)
+        assert {name: len(part) for name, part in solution.items()} == {"x": p.nx, "z": p.nz,
+                                                                         "y": p.ny}
+        u, exact = np.concatenate([solution[name] for name in "xzy"]), direct_solve(p)
+        sigma = np.linalg.svd(assemble_kkt(p), compute_uv=False)
+        rho = 10 * p.dim * np.finfo(float).eps * sigma[0] / sigma[-1]
+        residual = record["final_rel_residual"] * np.linalg.norm(p.rhs())
+        bound = (1 + rho) * residual / sigma[-1]
+        assert np.linalg.norm(u - exact) <= bound + rho * (np.linalg.norm(u) + np.linalg.norm(exact))
 
     def test_gmres_right_random_beta(self, tmp_path, problem_file):
         prefix = str(tmp_path / "gm")
@@ -337,9 +362,10 @@ class TestScaling:
 @pytest.mark.parametrize("name, argv", [
     ("p.json", ["solve", "PROBLEM", "--out-prefix", "p"]),
     ("p.trace.csv", ["solve", "PROBLEM", "--out-prefix", "p"]),
+    ("p.solution.json", ["solve", "PROBLEM", "--out-prefix", "p"]),
     ("q.json", ["spectrum", "PROBLEM", "--beta", "1", "-o", "PROBLEM"]),
     ("q.json", ["bounds", "PROBLEM", "--kind", "prop5", "-o", "PROBLEM"]),
-], ids=["solve-record", "solve-trace", "spectrum", "bounds"])
+], ids=["solve-record", "solve-trace", "solve-solution", "spectrum", "bounds"])
 def test_solve_refuses_to_overwrite_problem(tmp_path, capsys, name, argv):
     # all but solve-record once exited 0 with the problem file replaced
     path = tmp_path / name

@@ -192,7 +192,7 @@ def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
     # roundoff grows with gamma = max(beta / m, ell / beta); seen: under
     # 5e-3 of this bound.
     problem, beta, _ = case
-    CU = kernel_sweep(make_engine(problem, beta)).step[: problem.ny]
+    CU = kernel_sweep(make_engine(problem, beta)).CU
     lam, X = np.linalg.eig(build_k_matrix(problem, beta).K)
     m, ell, _ = dtilde_extremes(problem)
     gap = np.abs(np.linalg.eigvals(CU)[:, None] - (1.0 + lam[None, :]) / 2.0)
@@ -203,8 +203,8 @@ def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
 @PROPERTY
 @given(cases(span=1e2))
 def test_kernel_estimate_is_the_fresh_residual_of_its_iterate(case):
-    # for any t the lower rows of the sweep, N (CU - I) t + N c, have the
-    # norm of r - M u(t), where u(t) is one admm_step from the start moved
+    # for any t the residual image N (CU - I) t + N c has the norm of
+    # r - M u(t), where u(t) is one admm_step from the start moved
     # by [0; U t + b_zy]; slack as in the step-oracle test at extreme
     # penalties
     problem, beta, rng = case
@@ -214,7 +214,8 @@ def test_kernel_estimate_is_the_fresh_residual_of_its_iterate(case):
     s0 = problem.rhs() - assemble_kkt(problem) @ u0
     b = apply_inverse(engine, s0)
     c, t = kernel.offset(b), rng.standard_normal(problem.ny)
-    estimate = np.linalg.norm(kernel.step[problem.ny :] @ t + kernel.N @ c)
+    step = kernel.N @ (kernel.CU - np.eye(problem.ny))
+    estimate = np.linalg.norm(step @ t + kernel.N @ c)
     start = u0.copy()
     start[problem.nx :] += kernel.lift(t) + b[problem.nx :]
     u = admm_step(engine, start)
