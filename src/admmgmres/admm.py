@@ -1,13 +1,12 @@
 """Fixed-parameter ADMM on the saddle-point KKT system, and the record every solver returns.
 
 The sweep is the affine map of :mod:`admmgmres.precond`, run by
-:func:`admm_solve`; both it and :func:`admmgmres.gmres.admm_gmres_solve`
-return an :class:`IterationTrace`.  Varying beta mid-run is deliberately
-unsupported.
+:func:`admm_solve`.  It and :func:`admmgmres.gmres.admm_gmres_solve` are one
+solve, :func:`_kernel_solve`, with different inner runs, and both return an
+:class:`IterationTrace`.  Varying beta mid-run is deliberately unsupported.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,10 @@ __all__ = [
 # 8, 16 and 32 took 123, 107 and 101 ms, against 172 ms sweep by sweep.
 _BLOCK = 16
 
+# Inner runs per solve, the first included: each later one is a correction
+# cycle of iterative refinement (Carson & Higham, SIAM J. Sci. Comput. 39, 2017).
+_CYCLES = 4
+
 
 @dataclass
 class IterationTrace:
@@ -39,17 +42,17 @@ class IterationTrace:
     ``residuals[k]`` is the KKT residual norm ||M u_k - r|| at iterate k,
     starting with the initial point, so its length is ``iterations + 1``.
     Each solver reads the entry from a product it already forms, which
-    equals the true residual up to roundoff (how each does so is told in
-    :func:`admm_solve` and :func:`admmgmres.gmres.admm_gmres_solve`).  A
-    fresh ||M u_k - r|| replaces it whenever it meets the threshold and as
-    the last entry, and only a fresh value stops a run.  The threshold is
-    ``epsilon`` times the larger of the initial residual and ||r||: relative
-    to the start, with a floor so that a warm start at (or numerically at)
-    the solution stops at once instead of chasing roundoff; from zero both
-    references coincide.  ``converged`` records that test on the last
-    entry, and ``solution`` is the final stacked iterate u_k, the one whose
-    fresh residual is ``residuals[-1]``.  A non-finite residual raises
-    :class:`NumericalError` naming the method and beta.
+    equals the true residual up to roundoff (:func:`_kernel_solve` and its
+    inner runs tell how).  A fresh ||M u_k - r|| replaces it whenever it
+    meets the threshold and as the last entry, and only a fresh value stops
+    a run.  The threshold is ``epsilon`` times the larger of the initial
+    residual and ||r||: relative to the start, with a floor so that a warm
+    start at (or numerically at) the solution stops at once instead of
+    chasing roundoff; from zero both references coincide.  ``converged``
+    records that test on the last entry, and ``solution`` is the final
+    stacked iterate u_k, the one whose fresh residual is ``residuals[-1]``.
+    A non-finite residual raises :class:`NumericalError` naming the method
+    and beta.
     """
 
     residuals: np.ndarray
@@ -65,15 +68,6 @@ def admm_step(engine, u):
     """One ADMM sweep u + P^{-1} (r - M u) of the stacked vector ``u``; b = P^{-1} r from 0."""
     p = engine.problem
     return u + apply_inverse(engine, p.rhs() - kkt_matvec(p, u))
-
-
-@contextmanager
-def _naming(method_tag, beta):
-    """Prefix any :class:`NumericalError` raised inside with the solver and its penalty."""
-    try:
-        yield
-    except NumericalError as exc:
-        raise NumericalError(f"{method_tag} at beta={beta}: {exc}") from exc
 
 
 class _Run:
@@ -149,29 +143,95 @@ class _Run:
         self.residuals.pop()
         return self.add(self.r - kkt_matvec(self.problem, u), u)
 
-    def finish(self, final):
-        """The trace of the solve, confirming ``final()`` first if the last entry is an estimate.
-
-        ``final`` is called only then, so a solve whose last entry is fresh
-        pays for no last iterate.
-        """
-        if self.solution is None:
-            self.confirm(final())
+    def finish(self):
+        """The trace of the solve; its last entry is the fresh residual of ``solution``."""
         # copied: after zero iterations the solution is the caller's u0
         return IterationTrace(np.asarray(self.residuals), self.iterations, self.converged,
                               self.epsilon, self.method_tag, self.beta,
                               np.array(self.solution, dtype=float))
 
 
-def _sweep_iterate(engine, cols, kernel, u, s, b):
-    """The map from a kernel coordinate t to the iterate whose sweep read it.
+def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
+    """The solve of every method: the checked start, iterate 1, the inner runs and the end.
 
-    ``u`` is the start, ``s`` = r - M u its residual, ``cols`` = (P - M)[:, nx:]
-    and b = P^{-1} s.  The iterate is u plus one sweep of the correction from
-    [0; U t + b_zy], which costs one application of P^{-1}.
+    Unless ``u0`` already meets the threshold, P^{-1} applied to
+    s0 = r - M u0 gives the first correction b = u_1 - u_0.  Since
+    P u_{k+1} = P u_k + r - M u_k, the residual of an iterate is fixed by its
+    change (Boyd et al. 2011, section 3.3):
+
+        r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta],
+
+    so iterate 1 records ||(P - M) b||.  Otherwise :func:`kernel_sweep`
+    gives the recurrence t_k = CU t_{k-1} + c from t_0 = 0, c = C b_zy, and
+    ``inner(run, kernel, c, iterate)`` records the next iterates and returns
+    the t of its last one (None if it recorded none).  ``iterate(t)`` is the
+    stacked iterate u_0 + P^{-1} ((P - M)[0; U t + b_zy] + s0) whose sweep
+    read t, one more P^{-1} formed only for a confirmation and at the end.
+
+    An inner run that ends above the threshold before ``max_iter`` is
+    followed by a correction cycle from its last iterate u, with its fresh
+    residual r - M u in place of s0 and the same kernel, up to ``_CYCLES``
+    runs in all; ADMM's run ends only converged or at the cap.  A
+    :class:`NumericalError` is renamed ``<tag> at beta=...``.
     """
-    nx = engine.problem.nx
-    return lambda t: u + apply_inverse(engine, cols @ (kernel.lift(t) + b[nx:]) + s)
+    try:
+        run = _Run(engine.problem, u0, epsilon, max_iter, tag, engine.beta)
+        if run.converged:
+            return run.finish()
+        nx = engine.problem.nx
+        cols = sweep_columns(engine)  # (P - M)[:, nx:]
+        u, s, kernel = run.u0, run.s0, None
+        for _ in range(_CYCLES):
+            b = apply_inverse(engine, s)
+            done = run.add(cols @ b[nx:]) and run.confirm(u + b)  # the run's first iterate
+            t = None
+            if not done and run.iterations < run.max_iter:
+                if kernel is None:
+                    kernel = kernel_sweep(engine)
+
+                def iterate(t):
+                    return u + apply_inverse(engine, cols @ (kernel.lift(t) + b[nx:]) + s)
+
+                t = inner(run, kernel, kernel.offset(b), iterate)
+            if run.solution is None:  # the last entry is an estimate
+                run.confirm(u + b if t is None else iterate(t))
+            if run.converged or run.iterations == run.max_iter:
+                break
+            u, s = run.solution, run.fresh
+        return run.finish()
+    except NumericalError as exc:
+        raise NumericalError(f"{tag} at beta={engine.beta}: {exc}") from exc
+
+
+def _sweep_blocks(run, kernel, c, iterate):
+    """ADMM's inner run: the sweeps t_k = CU t_{k-1} + c, in blocks, until the end.
+
+    The loop carries the differences d_k = t_k - t_{k-1} instead of t:
+    d_1 = c and d_{k+1} = CU d_k, which cannot grow since ||CU|| <= 1.
+    Iterate k + 1 records the estimate ||N d_k||, the norm of r - M u_{k+1}.
+    Sweeps run in blocks of up to ``_BLOCK``: one ny x ny gemv per sweep
+    fills the block's differences, one matmul by N' gives all their
+    residual images, and the block is recorded at once.
+    """
+    # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
+    # column-major CU took 4.0 us against 5.1, and the block's matmul by
+    # a row-major N' 24 us against 44 for the view N.T
+    CU = np.asfortranarray(kernel.CU)
+    NT = np.ascontiguousarray(kernel.N.T)
+    D = np.empty((_BLOCK, len(c)))  # D[j] = d_{k+j} for a block from iterate k + 1
+    D[0] = c  # d_1
+    t = np.zeros(len(c))  # t_{k-1}, read by the block's first sweep
+    while True:
+        p = min(_BLOCK, run.max_iter - run.iterations)
+        for j in range(p - 1):
+            np.dot(CU, D[j], out=D[j + 1])
+        E = D[:p] @ NT
+        estimates = np.sqrt(np.einsum("ij,ij->i", E, E))
+        if run.add_block(estimates, lambda j: iterate(t + D[:j].sum(0))) \
+                or run.iterations == run.max_iter:
+            return t + D[: p - 1].sum(0)
+        t += D[:p].sum(0)
+        np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
@@ -179,60 +239,10 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
 
     The loop stops once the residual meets the threshold of
     :class:`IterationTrace` at ``epsilon`` in (0, 1), or after ``max_iter``
-    sweeps, an integer of at least 1.
-
-    The sweeps run in the ny-long kernel coordinate of
-    :class:`admmgmres.precond.KernelSweep`: at a fixed penalty ADMM is
+    sweeps, an integer of at least 1.  At a fixed penalty ADMM is
     Douglas-Rachford splitting on the dual (Gabay 1983; Eckstein & Bertsekas
-    1992), so its state is one ny-vector.  Unless ``u0`` already meets the
-    threshold, the solve applies P^{-1} once to s0 = r - M u0, which gives
-    the first correction b = u_1 - u_0.  Since P u_{k+1} = P u_k + r - M u_k,
-    the residual of an iterate is fixed by the change of the iterate (Boyd
-    et al. 2011, section 3.3):
-
-        r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta],
-
-    so iterate 1 records ||(P - M) b||.  The kernel coordinate runs
-    t_k = CU t_{k-1} + c from t_0 = 0, and the loop carries its differences
-    d_k = t_k - t_{k-1} instead: d_1 = c and d_{k+1} = CU d_k, which cannot
-    grow since ||CU|| <= 1.  Iterate k + 1 records the estimate ||N d_k||,
-    the norm of r - M u_{k+1}.  Sweeps run in blocks of up to ``_BLOCK``:
-    one ny x ny gemv per sweep fills the block's differences, one matmul by
-    N' gives all their residual images, and the block is recorded at once.
-    An iterate is formed only for a confirmation and at the end:
-    u_{k+1} = u_0 + P^{-1} ((P - M)[0; w_k] + s0), one sweep of the
-    correction from the (z, y) part w_k = U t_{k-1} + b_zy, and one more
-    application of P^{-1}.
+    1992), so after the start of :func:`_kernel_solve` the sweeps run on one
+    ny-vector, the kernel coordinate of :class:`admmgmres.precond.KernelSweep`,
+    in blocks (:func:`_sweep_blocks`).
     """
-    problem = engine.problem
-    with _naming("admm", engine.beta):
-        run = _Run(problem, u0, epsilon, max_iter, "admm", engine.beta)
-        if run.converged:
-            return run.finish(None)
-        nx = problem.nx
-        cols = sweep_columns(engine)  # (P - M)[:, nx:]
-        b = apply_inverse(engine, run.s0)
-        if run.add(cols @ b[nx:]) and run.confirm(run.u0 + b) or run.max_iter == 1:
-            return run.finish(lambda: run.u0 + b)  # iterate 1
-        kernel = kernel_sweep(engine)
-        # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
-        # column-major CU took 4.0 us against 5.1, and the block's matmul by
-        # a row-major N' 24 us against 44 for the view N.T
-        CU = np.asfortranarray(kernel.CU)
-        NT = np.ascontiguousarray(kernel.N.T)
-        iterate = _sweep_iterate(engine, cols, kernel, run.u0, run.s0, b)
-        D = np.empty((_BLOCK, problem.ny))  # D[j] = d_{k+j} for a block from iterate k + 1
-        D[0] = kernel.offset(b)  # d_1 = c
-        t = np.zeros(problem.ny)  # t_{k-1}, read by the block's first sweep
-        while True:
-            p = min(_BLOCK, run.max_iter - run.iterations)
-            for j in range(p - 1):
-                np.dot(CU, D[j], out=D[j + 1])
-            E = D[:p] @ NT
-            estimates = np.sqrt(np.einsum("ij,ij->i", E, E))
-            if run.add_block(estimates, lambda j: iterate(t + D[:j].sum(0))):
-                return run.finish(None)
-            if run.iterations == run.max_iter:
-                return run.finish(lambda: iterate(t + D[: p - 1].sum(0)))
-            t += D[:p].sum(0)
-            np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full
+    return _kernel_solve(engine, u0, epsilon, max_iter, "admm", _sweep_blocks)

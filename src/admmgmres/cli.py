@@ -26,8 +26,8 @@ import numpy as np
 
 from .admm import admm_solve
 from .bounds import curve_to_csv, theorem_curve
-from .core import (NumericalError, check_beta, check_epsilon, check_max_iter, load_problem,
-                   problem_from_dict, save_problem, stacked_parts)
+from .core import (NumericalError, check_beta, check_epsilon, check_max_iter, problem_from_dict,
+                   save_problem, stacked_parts)
 from .gmres import admm_gmres_solve
 from .precond import make_engine
 from .randgen import GenSpec, random_problem, sample_beta
@@ -112,6 +112,31 @@ def _trace_csv(trace):
     return "\n".join(["k,rel_residual", *rows]) + "\n"
 
 
+def _read_json(path):
+    """The parsed problem file ``path``; nesting too deep to parse is a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"problem file {path!r} is nested too deeply to read") from None
+
+
+def _provenance(raw):
+    """The checked ``provenance`` object of a problem file: s finite, seed an integer >= 0."""
+    provenance = raw.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError(
+            f"problem file field 'provenance' must be an object, got {type(provenance).__name__}"
+        )
+    s, seed = provenance.get("s", 0.0), provenance.get("seed", 0)
+    if not (type(s) is int or type(s) is float and math.isfinite(s)):
+        raise ValueError(f"problem file field 'provenance.s' must be a finite number, got {s!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(
+            f"problem file field 'provenance.seed' must be a nonnegative integer, got {seed!r}"
+        )
+    return provenance
+
+
 def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
 
@@ -146,13 +171,9 @@ def cmd_solve(args):
     record_path = prefix + ".json"
     solution_path = prefix + ".solution.json"
     _refuse_to_overwrite(args.problem, trace_path, record_path, solution_path)
-    raw = json.loads(Path(args.problem).read_text(encoding="utf-8"))
+    raw = _read_json(args.problem)
     problem = problem_from_dict(raw)
-    provenance = raw.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise ValueError(
-            f"problem file field 'provenance' must be an object, got {type(provenance).__name__}"
-        )
+    provenance = _provenance(raw)
     beta = _resolve_beta(problem, args.beta)
     trace = _run_method(problem, args.method, beta, args.eps, args.max_iter)
 
@@ -187,7 +208,7 @@ def cmd_solve(args):
 
 def cmd_spectrum(args):
     _refuse_to_overwrite(args.problem, args.output)
-    problem = load_problem(args.problem)
+    problem = problem_from_dict(_read_json(args.problem))
     beta = _resolve_beta(problem, args.beta)
     _emit(args.output, classify_and_verify(problem, beta).to_json() + "\n")
     return 0
@@ -195,7 +216,7 @@ def cmd_spectrum(args):
 
 def cmd_bounds(args):
     _refuse_to_overwrite(args.problem, args.output)
-    problem = load_problem(args.problem)
+    problem = problem_from_dict(_read_json(args.problem))
     beta = _resolve_beta(problem, args.beta)
     report = classify_and_verify(problem, beta)
     factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)

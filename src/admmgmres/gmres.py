@@ -5,6 +5,7 @@
 kernel coordinate of :func:`admmgmres.precond.kernel_sweep`.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,18 +14,14 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .admm import _naming, _Run, _sweep_iterate
+from .admm import _kernel_solve
 from .core import NumericalError, check_max_iter
-from .precond import apply_inverse, kernel_sweep, make_engine, sweep_columns
+from .precond import make_engine
 
 __all__ = ["LinearOperator", "GmresResult", "gmres", "admm_gmres_solve"]
 
 # A new Arnoldi direction below this fraction of its column is a happy breakdown.
 _BREAKDOWN_RTOL = float(100.0 * np.finfo(float).eps)
-
-# Krylov runs per solve, the first included: each later one is a correction
-# cycle of iterative refinement (Carson & Higham, SIAM J. Sci. Comput. 39, 2017).
-_CYCLES = 4
 
 
 @dataclass
@@ -179,18 +176,17 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
     return GmresResult(x, np.asarray(inner), k, breakdown)
 
 
-def _kernel_run(run, kernel, step, side, c, iterate):
+def _kernel_run(run, kernel, c, iterate, side):
     """One GMRES run on (I - CU) t = c from t = 0; the last iterate's t, or None.
 
-    ``step`` is [CU; N (CU - I)], so one mat-vec gives the Arnoldi image of
-    v_j and the residual image z_j = N (CU - I) v_j that step j keeps.  The
-    iterate t = V_k y then has the true residual norm
-    ||N rho(t)|| = ||N c + Z_k y||, which is recorded.  The left side takes
-    y from GMRES's own least-squares problem; the right side minimizes
-    ||N c + Z_k y|| through a QR of Z_k that grows by one column per step,
-    orthogonalized by two classical Gram-Schmidt passes.  ``iterate`` maps
-    t to the stacked iterate for a confirmation.  None means c = 0, so the
-    run took no step.
+    ``kernel.step`` is [CU; N (CU - I)], so one mat-vec gives the Arnoldi
+    image of v_j and the residual image z_j = N (CU - I) v_j that step j
+    keeps.  The iterate t = V_k y then has the true residual norm
+    ||N (c - (I - CU) t)|| = ||N c + Z_k y||, which is recorded.  The left
+    side takes y from GMRES's own least-squares problem; the right side
+    minimizes ||N c + Z_k y|| through a QR of Z_k that grows by one column
+    per step, orthogonalized by two classical Gram-Schmidt passes.  None
+    means c = 0, so the run took no step.
     """
     ny = len(c)
     f = kernel.N @ c  # N rho(0)
@@ -201,7 +197,7 @@ def _kernel_run(run, kernel, step, side, c, iterate):
     last = None
 
     def image(v):
-        w = step @ v  # [CU v; N (CU - I) v]
+        w = kernel.step @ v  # [CU v; N (CU - I) v]
         Z[:, next(calls)] = w[ny:]
         return v - w[:ny]
 
@@ -239,32 +235,22 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     :class:`~admmgmres.admm.IterationTrace`, and a non-finite value inside
     :func:`gmres` raises in the same way.
 
-    The solve starts like :func:`~admmgmres.admm.admm_solve`: b = P^{-1} s0
-    for s0 = r - M u0 gives iterate 1 = u0 + b, recorded from
-    ||(P - M) b||.  ADMM would then run t_k = CU t_{k-1} + c from t_0 = 0,
-    with c = C b_zy (:class:`~admmgmres.precond.KernelSweep`), and the
-    iterate u(t) whose sweep read t has the residual norm ||N rho(t)|| for
-    rho(t) = c - (I - CU) t.  Here full GMRES runs on the ny x ny system
-    (I - CU) t = c instead; the k-step iterate of the first run is
-    iterate k + 1.  One mat-vec by the kernel step [CU; N (CU - I)] gives
-    each Arnoldi image and its residual image, so a step applies neither
-    P^{-1} nor M; the record reads ||N rho(t)|| from the kept images, and
-    an iterate is confirmed through u(t) as in
-    :func:`~admmgmres.admm.admm_solve`.
+    The solve is that of :func:`~admmgmres.admm.admm_solve`, with one full
+    GMRES run on the ny x ny system (I - CU) t = c of the ADMM recurrence
+    (:func:`_kernel_run`) in place of its sweeps; the k-step iterate of the
+    first run is iterate k + 1, and no step applies P^{-1} or M.
 
     ``side`` picks only the least-squares norm.  The left side minimizes
     ||c - (I - CU) t||, the kernel image of ADMM's own step.  The right side
-    minimizes the true residual ||N rho(t)|| = ||r - M u(t)||; its Krylov
-    space K_k(CU, c) holds ADMM's t_{k-1}, so at every index its residual
-    is at or below the sweep's, up to roundoff.
+    minimizes the true residual ||r - M u(t)||; its Krylov space K_k(CU, c)
+    holds ADMM's t_{k-1}, so at every index its residual is at or below the
+    sweep's, up to roundoff.
 
     A Krylov run ends after min(ny, iterates left) steps, in a happy
-    breakdown, or when its inner residual underflows to 0.  If it ends above
-    the threshold, a correction cycle starts from its last iterate u with
-    the fresh residual s = r - M u, a new b and c and the same CU and N; a
-    solve makes at most four runs.  Over 400 random problems per span
-    (shapes up to 12, beta log-uniform over [m / span, span * ell],
-    eps = 1e-6) no run of either side ended unconverged at span 1e2, 1e4 or
+    breakdown, or when its inner residual underflows to 0; if it ends above
+    the threshold, the shared correction cycles follow.  Over 400 random
+    problems per span (shapes up to 12, beta log-uniform over
+    [m / span, span * ell], eps = 1e-6) no run of either side ended unconverged at span 1e2, 1e4 or
     1e6, and none needed a second cycle; left and right took 1826/1822,
     1779/1769 and 1751/1727 steps in all.  Over 96 problems of dimension
     390 (ny = 140, beta at m / 100, sqrt(m ell) and 100 ell) each side
@@ -273,30 +259,6 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    engine = make_engine(problem, beta)
-    tag = f"admm-gmres-{side}"
-    with _naming(tag, engine.beta):
-        run = _Run(problem, u0, epsilon, problem.dim if max_iter is None else max_iter,
-                   tag, engine.beta)
-        if run.converged:
-            return run.finish(None)
-        nx = problem.nx
-        cols = sweep_columns(engine)  # (P - M)[:, nx:]
-        kernel = kernel_sweep(engine)
-        step = np.concatenate((kernel.CU, kernel.N @ (kernel.CU - np.eye(problem.ny))))
-        u, s = run.u0, run.s0
-        for _ in range(_CYCLES):
-            b = apply_inverse(engine, s)
-            final = lambda: u + b
-            if run.add(cols @ b[nx:]) and run.confirm(u + b) or run.iterations == run.max_iter:
-                break
-            iterate = _sweep_iterate(engine, cols, kernel, u, s, b)
-            t = _kernel_run(run, kernel, step, side, kernel.offset(b), iterate)
-            if t is not None:  # None: c = 0, so the run took no step
-                final = lambda: iterate(t)
-            if run.solution is None:
-                run.confirm(final())
-            if run.converged or run.iterations == run.max_iter:
-                break
-            u, s = run.solution, run.fresh
-        return run.finish(final)
+    return _kernel_solve(make_engine(problem, beta), u0, epsilon,
+                         problem.dim if max_iter is None else max_iter,
+                         f"admm-gmres-{side}", functools.partial(_kernel_run, side=side))

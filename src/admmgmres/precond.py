@@ -36,6 +36,7 @@ problem.
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
@@ -170,6 +171,11 @@ class KernelSweep:
         p, T, beta = self.engine.problem, self.T, self.engine.beta
         _, bz, by = stacked_parts(p, b)
         return (by - T @ by) / beta - T @ (p.B @ bz)
+
+    @cached_property
+    def step(self):
+        """[CU; N (CU - I)]: one mat-vec gives CU v and the residual image of v, for GMRES."""
+        return np.concatenate((self.CU, self.N @ (self.CU - np.eye(len(self.CU)))))
 
     def lift(self, t):
         """U t, the stacked (z, y) correction that the kernel coordinate ``t`` stands for."""

@@ -437,3 +437,51 @@ class TestSolve:
         for k in range(3):
             assert trace.residuals[k] == pytest.approx(kkt_residual(problem42, u), rel=1e-12)
             u = admm_step(eng, u)
+
+
+# the 19/4/4 problem of the GMRES correction-cycle test: each side needs three runs
+CYCLED = (19, 4, 4, 1.593341373592157, 2649730957), 1818917.2179890736
+
+
+class TestSharedPath:
+    """Plain ADMM and both GMRES sides are one solve with different inner runs."""
+
+    @staticmethod
+    def spy_kernel_sweep(monkeypatch):
+        kernels, original = [], admm.kernel_sweep
+        monkeypatch.setattr(admm, "kernel_sweep",
+                            lambda engine: kernels.append(original(engine)) or kernels[-1])
+        return kernels
+
+    @staticmethod
+    def solve(problem, beta, method, **kwargs):
+        if method == "admm":
+            return admm_solve(make_engine(problem, beta), **kwargs)
+        return admm_gmres_solve(problem, beta, method, **kwargs)
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    @pytest.mark.parametrize("cycled", [False, True], ids=["6-4-2", "cycled-19-4-4"])
+    def test_one_kernel_per_solve(self, problem42, monkeypatch, method, cycled):
+        # one kernel_sweep however many inner runs the solve makes, and only
+        # GMRES forms the stacked step [CU; N (CU - I)] on it
+        problem, beta = (seeded_problem(*CYCLED[0]), CYCLED[1]) if cycled else (problem42, 1.0)
+        kernels = self.spy_kernel_sweep(monkeypatch)
+        trace = self.solve(problem, beta, method, max_iter=400 if method == "admm" else None)
+        assert len(kernels) == 1
+        assert ("step" in vars(kernels[0])) == (method != "admm")
+        if cycled and method != "admm":
+            # a run records at most 1 + ny iterates, so this solve made three
+            assert trace.converged and trace.iterations > 2 * (1 + problem.ny)
+
+    def test_first_iterate_is_shared(self, problem42, monkeypatch):
+        # at max_iter = 1 every method records the same sweep from the start,
+        # forms no kernel, and returns the same iterate
+        kernels = self.spy_kernel_sweep(monkeypatch)
+        u0 = np.random.default_rng(2).standard_normal(problem42.dim)
+        traces = [self.solve(problem42, 0.7, method, u0=u0, max_iter=1)
+                  for method in ("admm", "left", "right")]
+        assert kernels == []
+        for trace in traces:
+            assert trace.iterations == 1 and not trace.converged
+            assert trace.residuals[:2].tobytes() == traces[0].residuals[:2].tobytes()
+            assert trace.solution.tobytes() == traces[0].solution.tobytes()

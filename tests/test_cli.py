@@ -166,18 +166,29 @@ class TestSolve:
         (lambda d: {**d, "nx": None}, "'nx'"),
         (lambda d: {**d, "provenance": [1]}, "'provenance'"),
         (lambda d: {**d, "nx": 6.5}, "'nx'"),
+        (lambda d: {**d, "provenance": {"s": "abc", "seed": [1]}}, "'provenance.s'"),
+        (lambda d: {**d, "provenance": {"s": math.nan, "seed": True}}, "'provenance.s'"),
+        (lambda d: {**d, "provenance": {**d["provenance"], "s": True}}, "'provenance.s'"),
+        (lambda d: {**d, "provenance": {**d["provenance"], "s": -math.inf}}, "'provenance.s'"),
+        (lambda d: {**d, "provenance": {**d["provenance"], "seed": [1]}}, "'provenance.seed'"),
+        (lambda d: {**d, "provenance": {**d["provenance"], "seed": True}}, "'provenance.seed'"),
+        (lambda d: {**d, "provenance": {**d["provenance"], "seed": -1}}, "'provenance.seed'"),
+        (lambda d: {**d, "provenance": {**d["provenance"], "seed": 2.0}}, "'provenance.seed'"),
     ], ids=["object-array", "top-level-list", "null-dimension", "list-provenance",
-            "float-dimension"])
+            "float-dimension", "string-s-list-seed", "nan-s-bool-seed", "bool-s", "inf-s",
+            "list-seed", "bool-seed", "negative-seed", "float-seed"])
     def test_malformed_file_names_field(self, tmp_path, problem_file, capsys, edit, field):
         # each once ended in a TypeError/AttributeError traceback or, for 6.5,
-        # was silently read as 6
+        # was silently read as 6; a provenance s or seed of the wrong type was
+        # copied into the run record as given, NaN as a bare token that is
+        # not JSON
         data = json.loads(problem_file.read_text(encoding="utf-8"))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edit(data)), encoding="utf-8")
         assert main(["solve", str(bad), "--out-prefix", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
-        assert not (tmp_path / "run.json").exists()
+        assert not list(tmp_path.glob("run*"))
 
     @pytest.mark.parametrize("method", ["admm", "gmres-left", "gmres-right"])
     def test_max_iter_below_one_exits_2(self, tmp_path, problem_file, capsys, method):
@@ -378,6 +389,23 @@ def test_solve_refuses_to_overwrite_problem(tmp_path, capsys, name, argv):
     err = capsys.readouterr().err
     assert "overwrite" in err and str(path) in err
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "PROBLEM", "--out-prefix", "out"],
+    ["spectrum", "PROBLEM", "--beta", "1", "-o", "out"],
+    ["bounds", "PROBLEM", "--kind", "thm7", "-o", "out"],
+], ids=["solve", "spectrum", "bounds"])
+def test_deeply_nested_file_exits_2_and_names_it(tmp_path, capsys, argv):
+    # the JSON parser's RecursionError once ended each command in a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = [str(path) if arg == "PROBLEM" else str(tmp_path / arg) if arg == "out" else arg
+            for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["bounds", "--kind", "thm7"]],

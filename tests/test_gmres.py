@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -6,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admmgmres import admm
 from admmgmres.admm import admm_solve, make_engine
 from admmgmres.core import NumericalError, direct_solve, kkt_residual
 from admmgmres.gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
 from conftest import count_calls, random_dims, seeded_problem
-
-gmres_module = importlib.import_module("admmgmres.gmres")  # the package re-exports gmres
 
 
 def matrix_op(M):
@@ -386,7 +384,7 @@ class TestAdmmGmres:
         trace = admm_gmres_solve(p, beta, side)
         assert trace.converged
         assert trace.iterations > 1 + p.ny
-        monkeypatch.setattr(gmres_module, "_CYCLES", 1)
+        monkeypatch.setattr(admm, "_CYCLES", 1)
         single = admm_gmres_solve(p, beta, side)
         assert not single.converged and single.iterations == 1 + p.ny
 
