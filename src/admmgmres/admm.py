@@ -85,9 +85,9 @@ class _Run:
         self.problem, self.method_tag, self.beta = problem, method_tag, beta
         self.u0 = np.zeros(problem.dim) if u0 is None else u0
         self.r = problem.rhs()
-        self.s0 = self.r - kkt_matvec(problem, self.u0)
-        self.residuals, self.threshold = [], 0.0  # set once ||s0|| is known
-        self.add(self.s0, self.u0)
+        self.s0 = self.fresh = self.r - kkt_matvec(problem, self.u0)
+        self.residuals, self.solution = [], self.u0
+        self._append(math.sqrt(self.s0 @ self.s0))
         self.threshold = epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
 
     @property
@@ -98,31 +98,11 @@ class _Run:
     def converged(self):
         return bool(self.residuals[-1] <= self.threshold)
 
-    def add(self, s, u=None):
-        """Record ||s|| as the next iterate's residual; True once it meets the threshold.
-
-        ``u`` marks ``s`` as the fresh residual r - M u of that iterate, which
-        becomes the solution and is kept as ``fresh``; without it the entry
-        is an estimate and ``solution`` is None until :meth:`confirm`
-        replaces it.
-        """
-        self._append(math.sqrt(s @ s))  # the bits of np.linalg.norm on a contiguous vector
-        self.solution, self.fresh = u, s
-        return self.residuals[-1] <= self.threshold
-
-    def add_block(self, estimates, iterate):
-        """Record the residual estimates ``estimates`` in order; True once one is confirmed.
-
-        Each entry is checked as in :meth:`add`.  One that meets the
-        threshold is confirmed with ``iterate(j)``, the iterate of entry j,
-        formed only then; if the confirmation fails, the next entry follows.
-        """
-        for j, res in enumerate(estimates.tolist()):
-            self._append(res)
-            self.solution = None
-            if res <= self.threshold and self.confirm(iterate(j)):
-                return True
-        return False
+    def add(self, res):
+        """Record the estimate ``res``, with no solution; True once it meets the threshold."""
+        self._append(res)
+        self.solution = None
+        return res <= self.threshold
 
     def _append(self, res):
         """Append ``res`` to the history, raising on a non-finite value."""
@@ -141,7 +121,10 @@ class _Run:
     def confirm(self, u):
         """Replace the last entry by the fresh residual r - M u of ``u``; True once converged."""
         self.residuals.pop()
-        return self.add(self.r - kkt_matvec(self.problem, u), u)
+        self.fresh = self.r - kkt_matvec(self.problem, u)
+        self._append(math.sqrt(self.fresh @ self.fresh))  # the bits of np.linalg.norm
+        self.solution = u
+        return self.converged
 
     def finish(self):
         """The trace of the solve; its last entry is the fresh residual of ``solution``."""
@@ -168,11 +151,12 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
     stacked iterate u_0 + P^{-1} ((P - M)[0; U t + b_zy] + s0) whose sweep
     read t, one more P^{-1} formed only for a confirmation and at the end.
 
-    An inner run that ends above the threshold before ``max_iter`` is
-    followed by a correction cycle from its last iterate u, with its fresh
-    residual r - M u in place of s0 and the same kernel, up to ``_CYCLES``
-    runs in all; ADMM's run ends only converged or at the cap.  A
-    :class:`NumericalError` is renamed ``<tag> at beta=...``.
+    An inner run that ends above the threshold before ``max_iter`` (ADMM's
+    at a failed confirmation, GMRES's after ny steps) is followed by a
+    correction cycle from its last iterate u, with its fresh residual
+    r - M u in place of s0 and the same kernel, up to ``_CYCLES`` runs in
+    all, so every method can cycle.  A :class:`NumericalError` is renamed
+    ``<tag> at beta=...``.
     """
     try:
         run = _Run(engine.problem, u0, epsilon, max_iter, tag, engine.beta)
@@ -183,7 +167,8 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
         u, s, kernel = run.u0, run.s0, None
         for _ in range(_CYCLES):
             b = apply_inverse(engine, s)
-            done = run.add(cols @ b[nx:]) and run.confirm(u + b)  # the run's first iterate
+            e = cols @ b[nx:]  # (P - M) b, the residual of the run's first iterate u + b
+            done = run.add(math.sqrt(e @ e)) and run.confirm(u + b)
             t = None
             if not done and run.iterations < run.max_iter:
                 if kernel is None:
@@ -204,14 +189,22 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
 
 
 def _sweep_blocks(run, kernel, c, iterate):
-    """ADMM's inner run: the sweeps t_k = CU t_{k-1} + c, in blocks, until the end.
+    """ADMM's inner run: the sweeps t_k = CU t_{k-1} + c, in blocks, up to one confirmation.
 
     The loop carries the differences d_k = t_k - t_{k-1} instead of t:
     d_1 = c and d_{k+1} = CU d_k, which cannot grow since ||CU|| <= 1.
     Iterate k + 1 records the estimate ||N d_k||, the norm of r - M u_{k+1}.
     Sweeps run in blocks of up to ``_BLOCK``: one ny x ny gemv per sweep
     fills the block's differences, one matmul by N' gives all their
-    residual images, and the block is recorded at once.
+    residual images, and the block's entries are recorded in order.
+
+    The run ends at the cap or at the first estimate that meets the
+    threshold, confirmed or not.  The estimate is a recursively computed
+    residual, which differs from the fresh r - M u by the rounding errors of
+    the recurrence and of forming u: once r - M u reaches that attainable
+    accuracy, the estimate keeps falling while r - M u stalls (Greenbaum,
+    SIAM J. Matrix Anal. Appl. 18, 1997).  A correction cycle from the
+    confirmed iterate starts again from its fresh residual.
     """
     # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
     # column-major CU took 4.0 us against 5.1, and the block's matmul by
@@ -226,9 +219,12 @@ def _sweep_blocks(run, kernel, c, iterate):
         for j in range(p - 1):
             np.dot(CU, D[j], out=D[j + 1])
         E = D[:p] @ NT
-        estimates = np.sqrt(np.einsum("ij,ij->i", E, E))
-        if run.add_block(estimates, lambda j: iterate(t + D[:j].sum(0))) \
-                or run.iterations == run.max_iter:
+        for j, res in enumerate(np.sqrt(np.einsum("ij,ij->i", E, E)).tolist()):
+            if run.add(res):  # confirmed only now, and the end of the run either way
+                t += D[:j].sum(0)
+                run.confirm(iterate(t))
+                return t
+        if run.iterations == run.max_iter:
             return t + D[: p - 1].sum(0)
         t += D[:p].sum(0)
         np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full

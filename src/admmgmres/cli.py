@@ -26,8 +26,8 @@ import numpy as np
 
 from .admm import admm_solve
 from .bounds import curve_to_csv, theorem_curve
-from .core import (NumericalError, check_beta, check_epsilon, check_max_iter, problem_from_dict,
-                   save_problem, stacked_parts)
+from .core import (NumericalError, _read_json, check_beta, check_epsilon, check_max_iter,
+                   load_problem, problem_from_dict, save_problem, stacked_parts)
 from .gmres import admm_gmres_solve
 from .precond import make_engine
 from .randgen import GenSpec, random_problem, sample_beta
@@ -110,14 +110,6 @@ def _rel_residuals(trace):
 def _trace_csv(trace):
     rows = (f"{k},{float(res)!r}" for k, res in enumerate(_rel_residuals(trace)))
     return "\n".join(["k,rel_residual", *rows]) + "\n"
-
-
-def _read_json(path):
-    """The parsed problem file ``path``; nesting too deep to parse is a ValueError naming it."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ValueError(f"problem file {path!r} is nested too deeply to read") from None
 
 
 def _provenance(raw):
@@ -208,7 +200,7 @@ def cmd_solve(args):
 
 def cmd_spectrum(args):
     _refuse_to_overwrite(args.problem, args.output)
-    problem = problem_from_dict(_read_json(args.problem))
+    problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
     _emit(args.output, classify_and_verify(problem, beta).to_json() + "\n")
     return 0
@@ -216,7 +208,7 @@ def cmd_spectrum(args):
 
 def cmd_bounds(args):
     _refuse_to_overwrite(args.problem, args.output)
-    problem = problem_from_dict(_read_json(args.problem))
+    problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
     report = classify_and_verify(problem, beta)
     factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)

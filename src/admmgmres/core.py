@@ -318,6 +318,14 @@ def save_problem(problem, path, provenance=None):
         fh.write("\n")
 
 
+def _read_json(path):
+    """The parsed JSON file ``path``; nesting too deep to parse is a ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"problem file {path!r} is nested too deeply to read") from None
+
+
 def load_problem(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
+    return problem_from_dict(_read_json(path))

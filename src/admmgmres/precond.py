@@ -36,7 +36,6 @@ problem.
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
@@ -158,6 +157,8 @@ class KernelSweep:
     R_a the nz x nz factor of a QR of A'Q.
 
     ``CU`` and ``N`` are those two matrices, ``T`` holds beta T and ``Qt`` Q'.
+    Every inner run reads only CU and N: ADMM's sweeps, and the one Arnoldi
+    loop of GMRES, unweighted on the left side and weighted by N on the right.
     """
 
     engine: AdmmEngine
@@ -171,11 +172,6 @@ class KernelSweep:
         p, T, beta = self.engine.problem, self.T, self.engine.beta
         _, bz, by = stacked_parts(p, b)
         return (by - T @ by) / beta - T @ (p.B @ bz)
-
-    @cached_property
-    def step(self):
-        """[CU; N (CU - I)]: one mat-vec gives CU v and the residual image of v, for GMRES."""
-        return np.concatenate((self.CU, self.N @ (self.CU - np.eye(len(self.CU)))))
 
     def lift(self, t):
         """U t, the stacked (z, y) correction that the kernel coordinate ``t`` stands for."""

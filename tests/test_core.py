@@ -197,6 +197,13 @@ class TestJsonFormat:
         assert np.array_equal(A, problem42.A)
         assert data["nx"] == 6 and data["ny"] == 4 and data["nz"] == 2
 
+    def test_deeply_nested_file_raises_value_error_naming_it(self, tmp_path):
+        # the JSON parser's RecursionError once escaped load_problem
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(repr(str(path)))):
+            load_problem(str(path))
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
             problem_from_dict({"nx": 1, "ny": 1, "nz": 1})

@@ -9,6 +9,7 @@ from admmgmres import admm
 from admmgmres.admm import admm_solve, make_engine
 from admmgmres.core import NumericalError, direct_solve, kkt_residual
 from admmgmres.gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
+from admmgmres.precond import apply_inverse, kernel_sweep
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
 from conftest import count_calls, random_dims, seeded_problem
@@ -343,12 +344,11 @@ class TestAdmmGmres:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("max_iter", [None, 4], ids=["converged", "capped"])
     def test_one_operator_application_per_step(self, problem42, monkeypatch, side, max_iter):
-        # an Arnoldi step applies only the kernel step [CU; N (CU - I)] and
-        # reads its residual from the image it keeps, so the P^{-1} and M
-        # counts do not grow with k: one P^{-1} for b = P^{-1} s0 and one to
-        # form the iterate that stops the run, one M for s0 and one for that
-        # iterate's fresh residual (the full-space drivers made k + 1 and
-        # k + 2 calls)
+        # an Arnoldi step applies only CU and N, and reads its residual in
+        # the kernel coordinate, so the P^{-1} and M counts do not grow
+        # with k: one P^{-1} for b = P^{-1} s0 and one to form the iterate
+        # that stops the run, one M for s0 and one for that iterate's fresh
+        # residual (the full-space drivers made k + 1 and k + 2 calls)
         inverses = count_calls(monkeypatch, "apply_inverse")
         matvecs = count_calls(monkeypatch, "kkt_matvec")
         trace = admm_gmres_solve(problem42, 1.0, side, max_iter=max_iter)
@@ -357,8 +357,8 @@ class TestAdmmGmres:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_huge_max_iter_allocates_by_dimension(self, problem42, side):
-        # the image buffer is sized by min(max_iter, dim); by max_iter alone
-        # this call would ask for 12 * 10**12 doubles
+        # the Krylov basis and the QR of N V are sized by min(max_iter, ny);
+        # by max_iter alone this call would ask for 10**12 columns
         huge = admm_gmres_solve(problem42, 1.0, side, max_iter=10**12)
         default = admm_gmres_solve(problem42, 1.0, side)
         assert (huge.iterations, huge.converged) == (default.iterations, default.converged)
@@ -378,7 +378,7 @@ class TestAdmmGmres:
         # kappa 1.9e6 at beta = 1e4 ell: the first Krylov run on the 4 x 4
         # kernel system ends at 1e-3 of the start, far above the threshold;
         # cycles started from the fresh residual r - M u meet it (seen: on
-        # the third), and the trace records every run
+        # the third left, the second right), and the trace records every run
         p = seeded_problem(19, 4, 4, 1.593341373592157, 2649730957)
         beta = 1818917.2179890736
         trace = admm_gmres_solve(p, beta, side)
@@ -398,6 +398,47 @@ class TestAdmmGmres:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="max_iter"):
                 admm_gmres_solve(problem42, 1.0, side, max_iter=bad)
+
+
+def krylov_basis(A, c, k):
+    """An orthonormal basis of K_k(A, c), by Arnoldi with two full projections per vector."""
+    V = c[:, None] / np.linalg.norm(c)
+    for _ in range(k - 1):
+        w = A @ V[:, -1]
+        for _ in range(2):
+            w = w - V @ (V.T @ w)
+        V = np.column_stack((V, w / np.linalg.norm(w)))
+    return V
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("beta_of", [lambda m, ell: m / 100, lambda m, ell: math.sqrt(m * ell),
+                                     lambda m, ell: 100 * ell], ids=["m/100", "sqrt", "100ell"])
+@pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (9, 5, 3, 1.0, 7), (12, 7, 7, 1.5, 3),
+                                  (10, 8, 1, 0.8, 11), (19, 4, 4, 1.6, 5)],
+                         ids=["6-4-2", "9-5-3", "12-7-7", "10-8-1", "19-4-4"])
+def test_recorded_estimates_match_the_dense_least_squares_oracle(dims, beta_of, side):
+    # entry k + 1 of a run is the true residual norm ||N (c - (I - CU) V_k y)||
+    # of its k-step iterate.  The right side's y minimizes it, so the entry is
+    # min ||N c + Z_k y|| for Z_k = N (CU - I) V_k formed densely; the left
+    # side's y minimizes ||c - (I - CU) V_k y||.  Only the estimates are
+    # compared: the last entry is a fresh residual.  Seen: within 1.4e-9.
+    p = seeded_problem(*dims)
+    beta = beta_of(*dtilde_extremes(p)[:2])
+    kernel = kernel_sweep(make_engine(p, beta))
+    c = kernel.offset(apply_inverse(kernel.engine, p.rhs()))
+    N, I_CU = kernel.N, np.eye(p.ny) - kernel.CU
+    trace = admm_gmres_solve(p, beta, side, max_iter=1 + p.ny)  # one run
+    assert trace.iterations >= 3
+    for k in range(1, trace.iterations - 1):
+        V = krylov_basis(I_CU, c, k)
+        if side == "right":
+            Z = -N @ I_CU @ V
+            want = np.linalg.norm(N @ c + Z @ np.linalg.lstsq(Z, -N @ c, rcond=None)[0])
+        else:
+            y = np.linalg.lstsq(I_CU @ V, c, rcond=None)[0]
+            want = np.linalg.norm(N @ (c - I_CU @ V @ y))
+        assert trace.residuals[k + 1] == pytest.approx(want, rel=1e-8)
 
 
 def extreme_draws(span):
