@@ -29,9 +29,10 @@ dimensions.
 
 A penalty sweep on one problem pays only for the penalty: each piece that
 does not depend on beta (A'A, A'B, chol(B'B), the orthonormal basis
-Q' = L_B^{-1} B' of range(B), I - QQ', the factor R_a of A'Q, the spectral
-module's) is formed on first use and kept, by weak reference, for the latest
-problem.
+Q' = L_B^{-1} B' of range(B), I - QQ', the factor R_a of A'Q, and the
+spectral module's eigenvalues of A D^{-1} A', complement of range(B) and
+singular values of B) is formed on first use and kept, by weak reference,
+for the latest problem.
 """
 
 import weakref

@@ -4,7 +4,8 @@ Provides the dense iteration matrix G(beta), the ny x ny inner kernel
 K(beta) whose eigenvalues drive both ADMM and ADMM-GMRES,
 eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
-convergence-bound evaluators.
+convergence-bound evaluators.  K is read off the matrix CU that the solvers
+iterate, K = J [Q P]' (2 CU - I) [Q P] J, so it is similar to 2 CU - I.
 
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
@@ -18,9 +19,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .core import assemble_kkt, check_beta
-from .precond import (_piece, apply_inverse, assemble_precond, check_dense, make_engine,
-                      sweep_columns)
+from .core import assemble_kkt
+from .precond import (_piece, apply_inverse, assemble_precond, check_dense, kernel_sweep,
+                      make_engine, sweep_columns)
 
 __all__ = [
     "KernelBlocks",
@@ -46,13 +47,11 @@ _EIGVEC_CUTOFF = 1e12
 
 
 def _dtilde_eig(problem):
-    """Eigen-decomposition of the symmetrized A D^{-1} A' (W = D-tilde^{-1})."""
+    """Eigenvalues of the symmetrized A D^{-1} A' (W = D-tilde^{-1})."""
     A, D = problem.A, problem.D
     L = np.linalg.cholesky(D)
     W = A @ dpotrs(L, A.T, lower=1)[0]  # A D^{-1} A', as in precond.apply_inverse
-    W = 0.5 * (W + W.T)
-    w, V = np.linalg.eigh(W)
-    return w, V
+    return np.linalg.eigh(0.5 * (W + W.T))[0]
 
 
 def dtilde_extremes(problem):
@@ -61,24 +60,16 @@ def dtilde_extremes(problem):
     m = 1 / lambda_max(A D^{-1} A'), ell = 1 / lambda_min(A D^{-1} A'),
     kappa = ell / m.
     """
-    w, _ = _piece(problem, "eig", _dtilde_eig)
+    w = _piece(problem, "eig", _dtilde_eig)
     m = 1.0 / w[-1]
     ell = 1.0 / w[0]
     return m, ell, ell / m
 
 
 def _b_factors(problem):
-    """Q and its complement from the QR factors of B, and the singular values of R.
-
-    R is sign-normalized to a nonnegative diagonal, with the matching
-    columns of Q flipped, so that B = Q R keeps one canonical Q.
-    """
-    nz = problem.nz
+    """The complement P of range(B) from a full QR of B, and the singular values of R."""
     Qfull, Rfull = np.linalg.qr(problem.B, mode="complete")
-    signs = np.sign(np.diag(Rfull[:nz, :]))
-    signs[signs == 0] = 1.0
-    R = Rfull[:nz, :] * signs[:, None]
-    return Qfull[:, :nz] * signs, Qfull[:, nz:], np.linalg.svd(R, compute_uv=False)
+    return Qfull[:, problem.nz :], np.linalg.svd(Rfull[: problem.nz], compute_uv=False)
 
 
 def build_iteration_matrix(problem, beta):
@@ -110,21 +101,21 @@ class KernelBlocks:
 
 
 def build_k_matrix(problem, beta):
-    """Assemble the ny x ny kernel K(beta) and its blocks from the QR pieces of B.
+    """The ny x ny kernel K(beta) and its blocks, read off the solvers' sweep.
 
-    K = [Q'; -P'] Kt [Q P] for the QR factors Q and complement P of B, where
-    Kt is the symmetric contrast (beta^{-1} Dt + I)^{-1} - (beta Dt^{-1} + I)^{-1}
-    of Dt = (A D^{-1} A')^{-1}, whose eigenvalues are (beta*w - 1)/(beta*w + 1)
-    for the eigenvalues w of A D^{-1} A'.
+    K = J [Q P]' (2 CU - I) [Q P] J for the matrix CU of :func:`kernel_sweep`,
+    its orthonormal basis Q of range(B), a complement P of it and J =
+    blkdiag(I, -I); K is similar to 2 CU - I.  Equivalently K = [Q'; -P'] Kt
+    [Q P] for the symmetric Kt = 2 beta A (D + beta A'A)^{-1} A' - I, whose
+    eigenvalues are (beta*w - 1)/(beta*w + 1) for the eigenvalues w of
+    A D^{-1} A'.
     """
-    beta = check_beta(beta)
-    w, V = _piece(problem, "eig", _dtilde_eig)
-    Q, P, _ = _piece(problem, "B", _b_factors)
-    f = (beta * w - 1.0) / (beta * w + 1.0)
-    Kt = (V * f) @ V.T
-    Kt = 0.5 * (Kt + Kt.T)
-    K = np.vstack([Q.T, -P.T]) @ Kt @ np.hstack([Q, P])
+    kernel = kernel_sweep(make_engine(problem, beta))
+    frame = np.hstack([kernel.Qt.T, _piece(problem, "B", _b_factors)[0]])
+    K = frame.T @ (2.0 * kernel.CU - np.eye(problem.ny)) @ frame
     nz = problem.nz
+    K[nz:] *= -1.0  # J K J
+    K[:, nz:] *= -1.0
     return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
 
 
@@ -156,8 +147,8 @@ def _eigvec_condition(K, X, nz):
             candidates.append(np.linalg.cond(X * scale[None, :]))
 
     if nz is not None and 0 < nz <= K.shape[0]:
-        J = np.diag(np.concatenate([np.ones(nz), -np.ones(K.shape[0] - nz)]))
-        H = J @ K
+        H = K.copy()
+        H[nz:] *= -1.0  # J K for J = blkdiag(I, -I)
         H = 0.5 * (H + H.T)
         for sign in (1.0, -1.0):
             hw, hV = np.linalg.eigh(sign * H)
@@ -266,7 +257,7 @@ def classify_and_verify(problem, beta):
 
     m, ell, kappa = dtilde_extremes(problem)
     gamma = max(beta / m, ell / beta)
-    sigma = _piece(problem, "B", _b_factors)[2]
+    sigma = _piece(problem, "B", _b_factors)[1]
     K = build_k_matrix(problem, beta).K
     k_norm = float(np.linalg.norm(K, 2))
     eigs, X = np.linalg.eig(K)

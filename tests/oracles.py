@@ -1,8 +1,10 @@
 """Dense reference constructions that the tests check the package against.
 
 :func:`schur_pieces` builds the full block-Schur form of G(beta), the dense
-reference for the closed-form c1 of a spectral report; the two witness
-polynomials attain the min-max bounds of :mod:`admmgmres.bounds`.
+reference for the closed-form c1 of a spectral report; :func:`reference_kernel`
+builds K(beta) from the eigenpairs of A D^{-1} A' and the QR factors of B,
+apart from the sweep the package reads K from; the two witness polynomials
+attain the min-max bounds of :mod:`admmgmres.bounds`.
 """
 
 from dataclasses import dataclass
@@ -32,13 +34,34 @@ class SchurPieces:
     S: np.ndarray
 
 
+def qr_pieces(B):
+    """Q, its complement P and R of a full QR of B, R with a nonnegative diagonal."""
+    nz = B.shape[1]
+    Qfull, Rfull = np.linalg.qr(B, mode="complete")
+    signs = np.sign(np.diag(Rfull[:nz, :]))
+    signs[signs == 0] = 1.0
+    return Qfull[:, :nz] * signs, Qfull[:, nz:], Rfull[:nz, :] * signs[:, None]
+
+
+def reference_kernel(problem, beta):
+    """K(beta) = [Q'; -P'] Kt [Q P] from the spectral contrast Kt of A D^{-1} A'.
+
+    Kt = V f(w) V' for the eigenpairs (w, V) of A D^{-1} A', with
+    f(w) = (beta w - 1) / (beta w + 1), and Q, P are the :func:`qr_pieces`
+    of B.
+    """
+    beta = check_beta(beta)
+    W = problem.A @ np.linalg.solve(problem.D, problem.A.T)
+    w, V = np.linalg.eigh(0.5 * (W + W.T))
+    Kt = (V * ((beta * w - 1.0) / (beta * w + 1.0))) @ V.T
+    Q, P, _ = qr_pieces(problem.B)
+    return np.vstack([Q.T, -P.T]) @ (0.5 * (Kt + Kt.T)) @ np.hstack([Q, P])
+
+
 def schur_pieces(problem, beta):
     beta = check_beta(beta)
     nx, nz, ny, dim = problem.nx, problem.nz, problem.ny, problem.dim
-    Qfull, Rfull = np.linalg.qr(problem.B, mode="complete")
-    signs = np.sign(np.diag(Rfull[:nz, :]))
-    signs[signs == 0] = 1.0
-    Q, P, R = Qfull[:, :nz] * signs, Qfull[:, nz:], Rfull[:nz, :] * signs[:, None]
+    Q, P, R = qr_pieces(problem.B)
 
     U = np.zeros((dim, dim))
     U[:nx, :nx] = np.eye(nx)

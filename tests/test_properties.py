@@ -7,16 +7,19 @@ backward-stable solve with P(beta) promises; observed worst cases stay near
 10 eps kappa_P.  The report's ||K|| and closed-form c1 are checked against
 the paper's formula and the dense block-Schur scaling, and a report that
 reuses its problem's beta-independent pieces equals one that does not.
+Over [1e-6 m, 1e6 ell] the report keeps its regime, enclosure and norm, and
+its eigenvalues are those of 2 CU - I for the solvers' kernel CU.
 Right-preconditioned GMRES is checked against plain ADMM for penalties
 within two orders of magnitude of [m, ell], the range over which the README
 promises penalty insensitivity; further out its roundoff grows with kappa_P.
 Over the same range a short ADMM solve is checked sweep by sweep against
 repeated :func:`admm_step`, the factored form of the sweep; the kernel
 recurrence it runs on has the spectrum (1 + eig(K)) / 2 of the paper's
-operator and reads each residual right off its own state; and the iterate
-each solver returns is checked against :func:`direct_solve` through the
-forward-error bound ||u - u*|| <= ||M^{-1}||_2 ||M u - r||.  Both GMRES
-sides are also checked over [1e-6 m, 1e6 ell], where they must converge.
+operator, for a reference K built apart from the sweep, and reads each
+residual right off its own state; and the iterate each solver returns is
+checked against :func:`direct_solve` through the forward-error bound
+||u - u*|| <= ||M^{-1}||_2 ||M u - r||.  Both GMRES sides are also checked
+over [1e-6 m, 1e6 ell], where they must converge.
 """
 
 import dataclasses
@@ -35,12 +38,12 @@ from admmgmres.randgen import GenSpec, random_problem
 from admmgmres.spectral import (
     SpectralReport,
     build_iteration_matrix,
-    build_k_matrix,
     classify_and_verify,
+    classify_regime,
     conditioning_factors,
     dtilde_extremes,
 )
-from oracles import schur_pieces
+from oracles import reference_kernel, schur_pieces
 
 TOL = 1e3 * np.finfo(float).eps
 
@@ -103,6 +106,24 @@ def test_report_kernel_norm_and_enclosure(case):
     expected = (report.gamma - 1.0) / (report.gamma + 1.0)
     assert abs(report.k_norm - expected) <= 1e-8 * expected
     assert report.enclosure_ok
+
+
+@settings(PROPERTY, max_examples=30)
+@given(cases(span=1e6))
+def test_report_holds_over_the_wide_penalty_range(case):
+    # penalties from 1e-6 m to 1e6 ell: the report's K is read off the
+    # solvers' CU, so its eigenvalues are those of 2 CU - I; the norm check
+    # has a floor for K near 0 at kappa = 1
+    problem, beta, _ = case
+    report = classify_and_verify(problem, beta)
+    assert report.regime == classify_regime(report.gamma, report.kappa)
+    assert report.enclosure_ok
+    expected = (report.gamma - 1.0) / (report.gamma + 1.0)
+    assert abs(report.k_norm - expected) <= 1e-8 * max(report.k_norm, 1e-6)
+    CU = kernel_sweep(make_engine(problem, beta)).CU
+    gap = np.abs(2.0 * np.linalg.eigvals(CU)[:, None] - 1.0 - report.eigenvalues[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert np.max(gap[rows, cols]) <= 1e-9
 
 
 @PROPERTY
@@ -188,12 +209,13 @@ def test_short_solve_follows_the_step_oracle(case, k):
 def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
     # CU = (I + Kt F) / 2 is orthogonally similar to (I + K) / 2, so its
     # eigenvalues match those of K one to one within Bauer-Fike's
-    # cond(X) ||E||.  CU is formed through the factor of D + beta A'A, whose
-    # roundoff grows with gamma = max(beta / m, ell / beta); seen: under
-    # 5e-3 of this bound.
+    # cond(X) ||E||.  K is the reference built from the eigenpairs of
+    # A D^{-1} A', apart from CU.  CU is formed through the factor of
+    # D + beta A'A, whose roundoff grows with gamma = max(beta / m, ell / beta);
+    # seen: under 5e-3 of this bound.
     problem, beta, _ = case
     CU = kernel_sweep(make_engine(problem, beta)).CU
-    lam, X = np.linalg.eig(build_k_matrix(problem, beta).K)
+    lam, X = np.linalg.eig(reference_kernel(problem, beta))
     m, ell, _ = dtilde_extremes(problem)
     gap = np.abs(np.linalg.eigvals(CU)[:, None] - (1.0 + lam[None, :]) / 2.0)
     rows, cols = linear_sum_assignment(gap)

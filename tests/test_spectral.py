@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import admmgmres.spectral as spectral
 from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import SaddleProblem
 from admmgmres.gmres import admm_gmres_solve
@@ -137,11 +138,22 @@ class TestSchur:
         assert np.allclose(np.triu(pieces.R), pieces.R)
         assert np.all(np.diag(pieces.R) >= 0)
 
-    @pytest.mark.parametrize("beta", [0.3, 1.0, 4.0])
-    def test_block_triangularization(self, problem42, beta):
+    # problem42 (6-4-2) at three fixed penalties, then problems with an empty
+    # complement (nz = ny) and with nz = 1, and penalties far outside [m, ell]
+    SCHUR_CASES = [pytest.param((6, 4, 2), beta, id=str(beta)) for beta in (0.3, 1.0, 4.0)] + [
+        pytest.param(dims, beta, id="-".join(map(str, (*dims, beta))))
+        for dims in ((6, 4, 2), (7, 5, 5), (6, 4, 1))
+        for beta in (0.3, 1.0, 4.0, "m/100", "100ell")
+        if dims != (6, 4, 2) or isinstance(beta, str)
+    ]
+
+    @pytest.mark.parametrize("dims, beta", SCHUR_CASES)
+    def test_block_triangularization(self, dims, beta):
         # S (U' G U) S^{-1} must be block upper triangular with zero corner
         # blocks, and its middle block must be the half-shifted kernel
-        p = problem42
+        p = seeded_problem(*dims, 0.5, 42)
+        m, ell, _ = dtilde_extremes(p)
+        beta = {"m/100": m / 100.0, "100ell": 100.0 * ell}.get(beta, beta)
         nx, ny, nz = p.nx, p.ny, p.nz
         G = build_iteration_matrix(p, beta)
         pieces = schur_pieces(p, beta)
@@ -164,6 +176,19 @@ class TestKernel:
         J = np.diag(np.concatenate([np.ones(nz), -np.ones(ny - nz)]))
         JK = J @ K
         assert np.linalg.norm(JK - JK.T) <= 1e-10
+
+    def test_one_kernel_sweep_per_kernel(self, problem42, monkeypatch):
+        # K is read off the solvers' own sweep: one kernel_sweep per
+        # build_k_matrix, at the caller's problem and penalty, and one per report
+        kernels, original = [], spectral.kernel_sweep
+        monkeypatch.setattr(spectral, "kernel_sweep",
+                            lambda engine: kernels.append(original(engine)) or kernels[-1])
+        K = build_k_matrix(problem42, 1.3).K
+        assert len(kernels) == 1
+        assert kernels[0].engine.problem is problem42 and kernels[0].engine.beta == 1.3
+        report = classify_and_verify(problem42, 1.3)
+        assert len(kernels) == 2
+        assert np.array_equal(np.linalg.eig(K)[0], report.eigenvalues)
 
     def test_blocks_match_structure(self):
         p = seeded_problem(6, 4, 2, 0.5, 42)
