@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, check_epsilon, check_max_iter, kkt_matvec
-from .precond import (AdmmEngine, apply_inverse, kernel_sweep,  # engine re-exported
-                      make_engine, sweep_columns)
+from .precond import AdmmEngine, apply_inverse, make_engine, sweep_columns  # engine re-exported
 
 __all__ = [
     "AdmmEngine",
@@ -144,17 +143,18 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
 
         r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta],
 
-    so iterate 1 records ||(P - M) b||.  Otherwise :func:`kernel_sweep`
-    gives the recurrence t_k = CU t_{k-1} + c from t_0 = 0, c = C b_zy, and
-    ``inner(run, kernel, c, iterate)`` records the next iterates and returns
-    the t of its last one (None if it recorded none).  ``iterate(t)`` is the
-    stacked iterate u_0 + P^{-1} ((P - M)[0; U t + b_zy] + s0) whose sweep
-    read t, one more P^{-1} formed only for a confirmation and at the end.
+    so iterate 1 records ||(P - M) b||.  Otherwise the kernel coordinate of
+    :class:`AdmmEngine` gives the recurrence t_k = CU t_{k-1} + c from
+    t_0 = 0, c = C b_zy, and ``inner(run, engine, c, iterate)`` records the
+    next iterates and returns the t of its last one (None if it recorded
+    none).  ``iterate(t)`` is the stacked iterate
+    u_0 + P^{-1} ((P - M)[0; U t + b_zy] + s0) whose sweep read t, one more
+    P^{-1} formed only for a confirmation and at the end.
 
     An inner run that ends above the threshold before ``max_iter`` (ADMM's
     at a failed confirmation, GMRES's after ny steps) is followed by a
     correction cycle from its last iterate u, with its fresh residual
-    r - M u in place of s0 and the same kernel, up to ``_CYCLES`` runs in
+    r - M u in place of s0 and the same engine, up to ``_CYCLES`` runs in
     all, so every method can cycle.  A :class:`NumericalError` is renamed
     ``<tag> at beta=...``.
     """
@@ -164,20 +164,17 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
             return run.finish()
         nx = engine.problem.nx
         cols = sweep_columns(engine)  # (P - M)[:, nx:]
-        u, s, kernel = run.u0, run.s0, None
+        u, s = run.u0, run.s0
         for _ in range(_CYCLES):
             b = apply_inverse(engine, s)
             e = cols @ b[nx:]  # (P - M) b, the residual of the run's first iterate u + b
             done = run.add(math.sqrt(e @ e)) and run.confirm(u + b)
             t = None
             if not done and run.iterations < run.max_iter:
-                if kernel is None:
-                    kernel = kernel_sweep(engine)
-
                 def iterate(t):
-                    return u + apply_inverse(engine, cols @ (kernel.lift(t) + b[nx:]) + s)
+                    return u + apply_inverse(engine, cols @ (engine.lift(t) + b[nx:]) + s)
 
-                t = inner(run, kernel, kernel.offset(b), iterate)
+                t = inner(run, engine, engine.offset(b), iterate)
             if run.solution is None:  # the last entry is an estimate
                 run.confirm(u + b if t is None else iterate(t))
             if run.converged or run.iterations == run.max_iter:
@@ -188,7 +185,7 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
         raise NumericalError(f"{tag} at beta={engine.beta}: {exc}") from exc
 
 
-def _sweep_blocks(run, kernel, c, iterate):
+def _sweep_blocks(run, engine, c, iterate):
     """ADMM's inner run: the sweeps t_k = CU t_{k-1} + c, in blocks, up to one confirmation.
 
     The loop carries the differences d_k = t_k - t_{k-1} instead of t:
@@ -209,8 +206,8 @@ def _sweep_blocks(run, kernel, c, iterate):
     # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
     # column-major CU took 4.0 us against 5.1, and the block's matmul by
     # a row-major N' 24 us against 44 for the view N.T
-    CU = np.asfortranarray(kernel.CU)
-    NT = np.ascontiguousarray(kernel.N.T)
+    CU = np.asfortranarray(engine.CU)
+    NT = np.ascontiguousarray(engine.N.T)
     D = np.empty((_BLOCK, len(c)))  # D[j] = d_{k+j} for a block from iterate k + 1
     D[0] = c  # d_1
     t = np.zeros(len(c))  # t_{k-1}, read by the block's first sweep
@@ -238,7 +235,7 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     sweeps, an integer of at least 1.  At a fixed penalty ADMM is
     Douglas-Rachford splitting on the dual (Gabay 1983; Eckstein & Bertsekas
     1992), so after the start of :func:`_kernel_solve` the sweeps run on one
-    ny-vector, the kernel coordinate of :class:`admmgmres.precond.KernelSweep`,
-    in blocks (:func:`_sweep_blocks`).
+    ny-vector, the kernel coordinate of :class:`AdmmEngine`, in blocks
+    (:func:`_sweep_blocks`).
     """
     return _kernel_solve(engine, u0, epsilon, max_iter, "admm", _sweep_blocks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_epsilon
+from .core import NumericalError, check_epsilon
 
 __all__ = [
     "C0",
@@ -37,6 +37,10 @@ __all__ = [
 
 # Exponent-splitting constant log(1 + sqrt(2)) for the disk-and-interval case.
 C0 = math.log(1.0 + math.sqrt(2.0))
+
+# The factors of (c1, kappa_P, kappa_X, kappa_M) that each curve reads.
+_READS = {"prop5": ("c1", "kappa_M"), "thm7": ("c1", "kappa_P"),
+          "thm9": ("c1", "kappa_P", "kappa_X")}
 
 # Chebyshev evaluation switches from the recurrence to the exponential
 # closed form here; agreement across the crossover is ~1e-15 relative.
@@ -204,7 +208,8 @@ def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
     """Evaluate one published bound curve on iterations 0..k_max, k_max >= 0.
 
     ``factors`` is the tuple (c1, kappa_P, kappa_X, kappa_M) from
-    :func:`admmgmres.spectral.conditioning_factors`.
+    :func:`admmgmres.spectral.conditioning_factors`.  A curve that is not
+    finite raises :class:`NumericalError` naming the non-finite factors it reads.
 
     kind 'thm7' (requires beta > ell or beta < m):
         2 c1 kP [1 + 1/(max(beta/ell, m/beta) - 1)]
@@ -223,7 +228,7 @@ def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
     k = np.arange(int(k_max) + 1, dtype=float)
 
     if kind == "prop5":
-        estimate = 2.0 + math.ceil((math.sqrt(kappa) + 1.0) * math.log(c1 * kappa_m / epsilon))
+        estimate = 2.0 + np.ceil((math.sqrt(kappa) + 1.0) * math.log(c1 * kappa_m / epsilon))
         values = np.full(k.shape, float(estimate))
     elif kind == "thm7":
         if not (beta > ell or beta < m):
@@ -245,7 +250,10 @@ def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
         values = 2.0 * c1 * kappa_p * kappa_x * (power / (power + 1.0)) ** (0.209 * k)
     else:
         raise ValueError(f"unknown curve kind {kind!r}")
-
+    if not np.all(np.isfinite(values)):
+        named = dict(zip(("c1", "kappa_P", "kappa_X", "kappa_M"), factors))
+        bad = ", ".join(f"{n}={named[n]}" for n in _READS[kind] if not math.isfinite(named[n]))
+        raise NumericalError(f"'{kind}' bound is not finite: {bad or 'its factors overflow'}")
     return BoundCurve(values=values, kind=kind)
 
 

@@ -198,19 +198,21 @@ def cmd_solve(args):
     return 0
 
 
-def cmd_spectrum(args):
+def _report(args):
+    """The penalty of ``--beta`` and the spectral report of the problem file at it."""
     _refuse_to_overwrite(args.problem, args.output)
     problem = load_problem(args.problem)
     beta = _resolve_beta(problem, args.beta)
-    _emit(args.output, classify_and_verify(problem, beta).to_json() + "\n")
+    return beta, classify_and_verify(problem, beta)
+
+
+def cmd_spectrum(args):
+    _emit(args.output, _report(args)[1].to_json() + "\n")
     return 0
 
 
 def cmd_bounds(args):
-    _refuse_to_overwrite(args.problem, args.output)
-    problem = load_problem(args.problem)
-    beta = _resolve_beta(problem, args.beta)
-    report = classify_and_verify(problem, beta)
+    beta, report = _report(args)
     factors = (report.c1, report.kappa_P, report.kappa_X, report.kappa_M)
     curve = theorem_curve(args.kind, args.k_max, beta, report.m, report.ell, factors, args.eps)
     _emit(args.output, curve_to_csv(curve))

@@ -71,18 +71,12 @@ def check_max_iter(max_iter):
     return max_iter
 
 
-def _as_matrix(name, value, rows, cols):
-    m = np.array(value, dtype=float)
-    if m.ndim != 2 or m.shape != (rows, cols):
-        raise ValueError(f"block {name} must be {rows} x {cols}, got shape {m.shape}")
-    return m
-
-
-def _as_vector(name, value, n):
-    v = np.array(value, dtype=float)
-    if v.ndim != 1 or v.shape != (n,):
-        raise ValueError(f"block {name} must be a vector of length {n}, got shape {v.shape}")
-    return v
+def _as_block(name, value, *shape):
+    block = np.array(value, dtype=float)
+    if block.shape != shape:
+        want = " x ".join(map(str, shape)) if len(shape) == 2 else f"a vector of length {shape[0]}"
+        raise ValueError(f"block {name} must be {want}, got shape {block.shape}")
+    return block
 
 
 class SaddleProblem:
@@ -128,10 +122,10 @@ class SaddleProblem:
         nz = B.shape[1]
         if not 1 <= nz <= ny:
             raise ValueError(f"need 1 <= nz <= ny, got nz={nz}, ny={ny}")
-        D = _as_matrix("D", D, nx, nx)
-        r_x = _as_vector("r_x", r_x, nx)
-        r_z = _as_vector("r_z", r_z, nz)
-        r_y = _as_vector("r_y", r_y, ny)
+        D = _as_block("D", D, nx, nx)
+        r_x = _as_block("r_x", r_x, nx)
+        r_z = _as_block("r_z", r_z, nz)
+        r_y = _as_block("r_y", r_y, ny)
         # Reject inf/NaN before the SVDs below, which would fail opaquely.
         for name, block in {"A": A, "B": B, "D": D, "r_x": r_x, "r_z": r_z, "r_y": r_y}.items():
             bad = np.flatnonzero(~np.isfinite(block))
@@ -152,18 +146,11 @@ class SaddleProblem:
             )
         D = 0.5 * (D + D.T)
 
-        sa = np.linalg.svd(A, compute_uv=False)
-        if sa[-1] ** 2 <= _SINGULARITY_RTOL * sa[0] ** 2:
-            raise ValueError(
-                f"A A' is numerically singular: smallest singular value "
-                f"{sa[-1]**2:.3e} vs largest {sa[0]**2:.3e}"
-            )
-        sb = np.linalg.svd(B, compute_uv=False)
-        if sb[-1] ** 2 <= _SINGULARITY_RTOL * sb[0] ** 2:
-            raise ValueError(
-                f"B'B is numerically singular: smallest singular value "
-                f"{sb[-1]**2:.3e} vs largest {sb[0]**2:.3e}"
-            )
+        for name, block in (("A A'", A), ("B'B", B)):
+            sv = np.linalg.svd(block, compute_uv=False)
+            if sv[-1] ** 2 <= _SINGULARITY_RTOL * sv[0] ** 2:
+                raise ValueError(f"{name} is numerically singular: smallest singular value "
+                                 f"{sv[-1]**2:.3e} vs largest {sv[0]**2:.3e}")
         wd = np.linalg.eigvalsh(D)
         if wd[0] <= _SINGULARITY_RTOL * abs(wd[-1]):
             raise ValueError(

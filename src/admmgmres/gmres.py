@@ -2,7 +2,7 @@
 
 :func:`gmres` runs the loop unweighted on an abstract linear operator from
 a zero start; :func:`admm_gmres_solve` runs it on the ADMM iteration in the
-ny-long kernel coordinate of :func:`admmgmres.precond.kernel_sweep`,
+ny-long kernel coordinate of :class:`admmgmres.precond.AdmmEngine`,
 unweighted for the left side and weighted by N for the right.
 """
 
@@ -209,7 +209,7 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
     return GmresResult(krylov.solution(k), np.asarray(inner), k, krylov.breakdown)
 
 
-def _kernel_run(run, kernel, c, iterate, side):
+def _kernel_run(run, engine, c, iterate, side):
     """One GMRES run on (I - CU) t = c from t = 0; the last iterate's t, or None if c = 0.
 
     Both sides run :class:`_Arnoldi` on v -> v - CU v, the left unweighted
@@ -220,7 +220,7 @@ def _kernel_run(run, kernel, c, iterate, side):
     after min(ny, iterates left) steps, at a confirmed iterate that meets
     the threshold, or when the loop's residual vanishes.
     """
-    CU, N = kernel.CU, kernel.N
+    CU, N = engine.CU, engine.N
     krylov = _Arnoldi(lambda v: v - CU @ v, c, min(len(c), run.max_iter - run.iterations),
                       N if side == "right" else None)
     k = 0

@@ -7,9 +7,9 @@ exactly u + P^{-1} (r - M u).  :func:`make_engine` factors P(beta) once per
 (problem, beta) pair, and :func:`apply_inverse` is the only code that
 applies P^{-1}.  P - M is zero in the x columns, so G is too and a sweep
 reads only the z and y parts of u; :func:`sweep_columns` builds the other
-columns of P - M from the blocks.  :func:`kernel_sweep` writes the same
-sweep as a recurrence on one ny-vector, the coordinate in which the paper
-states its bounds.
+columns of P - M from the blocks.  The engine also writes the same sweep
+as a recurrence on one ny-vector, the coordinate in which the paper states
+its bounds.
 
 P(beta) factors as a unit upper-triangular augmentation times the block
 lower-triangular sweep operator,
@@ -37,14 +37,14 @@ for the latest problem.
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .core import NumericalError, assemble_kkt, check_beta, stacked_parts
 
-__all__ = ["AdmmEngine", "KernelSweep", "make_engine", "apply_inverse", "assemble_precond",
-           "sweep_columns", "kernel_sweep"]
+__all__ = ["AdmmEngine", "make_engine", "apply_inverse", "assemble_precond", "sweep_columns"]
 
 _DENSE_GUARD = 400
 
@@ -67,14 +67,33 @@ def _piece(problem, name, compute):
     return pieces[name]
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class AdmmEngine:
-    """Per-beta state: the problem, beta, and the two Cholesky factors.
+    """One (problem, beta) pair: its two Cholesky factors and its sweep in the kernel coordinate.
 
-    ``local_factor`` is the lower Cholesky factor of D + beta A'A and
-    ``global_factor`` the one of B'B, both read-only and in Fortran order so
-    that LAPACK reads them in place.  Immutable once built; one engine can
-    serve any number of steps and concurrent solves.
+    ``local_factor`` and ``global_factor`` are the lower Cholesky factors of
+    D + beta A'A and B'B, read-only and in Fortran order for LAPACK.
+
+    In the kernel coordinate t = C [z; y], ny long, G's (z, y) block factors
+    as U C, with C = [-beta T B, I / beta - T] and U = [-(B'B)^{-1} B';
+    beta (I - QQ')], for T = A (D + beta A'A)^{-1} A' and Q an orthonormal
+    basis of range(B).  Sweep k from u_0 moves (z, y) by U t_{k-1} + b_zy,
+    with t_0 = 0 and t_k = CU t_{k-1} + c for b = P^{-1} (r - M u_0) and
+    c = C b_zy.  CU = (I + Kt F) / 2 (Kt = 2 beta T - I, F the reflection
+    through range(B)) is similar to (I + K(beta)) / 2, the operator of the
+    paper's bounds.  P - M is zero in the x columns, so r - M u_{k+1} =
+    (P - M)[0; U (t_k - t_{k-1})] has the norm ||N (t_k - t_{k-1})|| for
+    N = [beta R_a Q'; I - QQ'], R_a the nz x nz factor of a QR of A'Q.
+
+    ``Qt`` (Q'), ``T`` (beta T), ``CU`` and ``N`` are formed on first read
+    and kept read-only, so a solve that ends at iterate 1 forms none of them
+    and every solve on the engine reads the same arrays.  Two threads that
+    read a field first may both form it, with the same bits.
     """
 
     problem: object
@@ -82,11 +101,45 @@ class AdmmEngine:
     local_factor: np.ndarray
     global_factor: np.ndarray
 
+    @cached_property
+    def Qt(self):
+        """Q' = L_B^{-1} B' for the factor L_B of B'B, kept per problem."""
+        Qt = _piece(self.problem, "Q'", lambda p: dtrtrs(self.global_factor, p.B.T, lower=1)[0])
+        return _read_only(Qt)
+
+    @cached_property
+    def T(self):
+        """beta T = beta (L^{-1} A')' (L^{-1} A') from the local factor L: one triangular solve."""
+        H = dtrtrs(self.local_factor, self.problem.A.T, lower=1)[0]
+        return _read_only(self.beta * (H.T @ H))
+
+    def _complement(self):
+        """I - QQ', the projector onto the complement of range(B), kept per problem."""
+        return _piece(self.problem, "I - QQ'", lambda p: np.eye(p.ny) - self.Qt.T @ self.Qt)
+
+    @cached_property
+    def CU(self):
+        return _read_only(self._complement() + 2.0 * (self.T @ self.Qt.T) @ self.Qt - self.T)
+
+    @cached_property
+    def N(self):
+        Ra = _piece(self.problem, "R_a", lambda p: np.linalg.qr(p.A.T @ self.Qt.T, mode="r"))
+        return _read_only(np.concatenate((self.beta * (Ra @ self.Qt), self._complement())))
+
+    def offset(self, b):
+        """c = C b_zy for a stacked ``b``."""
+        _, bz, by = stacked_parts(self.problem, b)
+        return (by - self.T @ by) / self.beta - self.T @ (self.problem.B @ bz)
+
+    def lift(self, t):
+        """U t, the stacked (z, y) correction that the kernel coordinate ``t`` stands for."""
+        q = self.Qt @ t
+        z = dtrtrs(self.global_factor, q, lower=1, trans=1)[0]
+        return np.concatenate((-z, self.beta * (t - self.Qt.T @ q)))
+
 
 def _cholesky(block):
-    factor = np.asfortranarray(np.linalg.cholesky(block))
-    factor.flags.writeable = False
-    return factor
+    return _read_only(np.asfortranarray(np.linalg.cholesky(block)))
 
 
 def make_engine(problem, beta):
@@ -139,64 +192,6 @@ def sweep_columns(engine):
     cols[:nx, :nz] = -beta * _piece(p, "A'B", lambda q: q.A.T @ q.B)
     cols[nx + nz :, nz:] = -(1.0 / beta) * np.eye(p.ny)
     return cols
-
-
-@dataclass
-class KernelSweep:
-    """The sweep of one engine in the kernel coordinate t = C [z; y], ny long.
-
-    G's (z, y) block factors as U C, with C = [-beta T B, I / beta - T] and
-    U = [-(B'B)^{-1} B'; beta (I - QQ')], where T = A (D + beta A'A)^{-1} A'
-    and the columns of Q span range(B).  The correction d_k = u_k - u_0 of
-    a sweep from u_0 then has (z, y) part w_k = U t_{k-1} + b_zy, with
-    t_0 = 0 and t_k = CU t_{k-1} + c for b = P^{-1} (r - M u_0) and
-    c = C b_zy.  CU = (I + Kt F) / 2 is similar to (I + K(beta)) / 2, the
-    operator the paper's bounds are stated on (Kt = 2 beta T - I and F the
-    reflection through range(B)).  P - M is zero in the x columns, so
-    r - M u_{k+1} = (P - M)(d_{k+1} - d_k) = (P - M)[0; U (t_k - t_{k-1})]
-    has the norm ||N (t_k - t_{k-1})|| for N = [beta R_a Q'; I - QQ'], with
-    R_a the nz x nz factor of a QR of A'Q.
-
-    ``CU`` and ``N`` are those two matrices, ``T`` holds beta T and ``Qt`` Q'.
-    Every inner run reads only CU and N: ADMM's sweeps, and the one Arnoldi
-    loop of GMRES, unweighted on the left side and weighted by N on the right.
-    """
-
-    engine: AdmmEngine
-    CU: np.ndarray
-    N: np.ndarray
-    T: np.ndarray
-    Qt: np.ndarray
-
-    def offset(self, b):
-        """c = C b_zy for a stacked ``b``."""
-        p, T, beta = self.engine.problem, self.T, self.engine.beta
-        _, bz, by = stacked_parts(p, b)
-        return (by - T @ by) / beta - T @ (p.B @ bz)
-
-    def lift(self, t):
-        """U t, the stacked (z, y) correction that the kernel coordinate ``t`` stands for."""
-        q = self.Qt @ t
-        z = dtrtrs(self.engine.global_factor, q, lower=1, trans=1)[0]
-        return np.concatenate((-z, self.engine.beta * (t - self.Qt.T @ q)))
-
-
-def kernel_sweep(engine):
-    """The :class:`KernelSweep` of ``engine``: one triangular solve with its local factor.
-
-    Q' = L_B^{-1} B' for the factor L_B of B'B, R_a and I - QQ' are kept
-    per problem; beta T = beta (L^{-1} A')' (L^{-1} A') comes from the local
-    factor L.  Nothing dim x dim is formed.
-    """
-    p, beta = engine.problem, engine.beta
-    Qt = _piece(p, "Q'", lambda q: dtrtrs(engine.global_factor, q.B.T, lower=1)[0])
-    Ra = _piece(p, "R_a", lambda q: np.linalg.qr(q.A.T @ Qt.T, mode="r"))
-    I_QQ = _piece(p, "I - QQ'", lambda q: np.eye(q.ny) - Qt.T @ Qt)
-    H = dtrtrs(engine.local_factor, p.A.T, lower=1)[0]  # L^{-1} A'
-    T = beta * (H.T @ H)
-    CU = I_QQ + 2.0 * (T @ Qt.T) @ Qt - T
-    N = np.concatenate((beta * (Ra @ Qt), I_QQ))
-    return KernelSweep(engine, CU, N, T, Qt)
 
 
 def check_dense(problem):

@@ -4,8 +4,9 @@ Provides the dense iteration matrix G(beta), the ny x ny inner kernel
 K(beta) whose eigenvalues drive both ADMM and ADMM-GMRES,
 eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
-convergence-bound evaluators.  K is read off the matrix CU that the solvers
-iterate, K = J [Q P]' (2 CU - I) [Q P] J, so it is similar to 2 CU - I.
+convergence-bound evaluators.  K is read off the engine's matrix CU, the
+one the solvers iterate: K = J [Q P]' (2 CU - I) [Q P] J, similar to
+2 CU - I.  A report factors its (problem, beta) pair once, into one engine.
 
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
@@ -19,9 +20,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .core import assemble_kkt
-from .precond import (_piece, apply_inverse, assemble_precond, check_dense, kernel_sweep,
-                      make_engine, sweep_columns)
+from .core import NumericalError, assemble_kkt
+from .precond import (_piece, apply_inverse, assemble_precond, check_dense, make_engine,
+                      sweep_columns)
 
 __all__ = [
     "KernelBlocks",
@@ -103,17 +104,21 @@ class KernelBlocks:
 def build_k_matrix(problem, beta):
     """The ny x ny kernel K(beta) and its blocks, read off the solvers' sweep.
 
-    K = J [Q P]' (2 CU - I) [Q P] J for the matrix CU of :func:`kernel_sweep`,
-    its orthonormal basis Q of range(B), a complement P of it and J =
-    blkdiag(I, -I); K is similar to 2 CU - I.  Equivalently K = [Q'; -P'] Kt
-    [Q P] for the symmetric Kt = 2 beta A (D + beta A'A)^{-1} A' - I, whose
-    eigenvalues are (beta*w - 1)/(beta*w + 1) for the eigenvalues w of
-    A D^{-1} A'.
+    K = J [Q P]' (2 CU - I) [Q P] J for the CU and the orthonormal basis Q
+    of range(B) of :class:`admmgmres.precond.AdmmEngine`, a complement P of
+    Q and J = blkdiag(I, -I); K is similar to 2 CU - I.  Equivalently
+    K = [Q'; -P'] Kt [Q P] for the symmetric Kt = 2 beta A (D + beta A'A)^{-1}
+    A' - I, whose eigenvalues are (beta*w - 1)/(beta*w + 1) for the
+    eigenvalues w of A D^{-1} A'.
     """
-    kernel = kernel_sweep(make_engine(problem, beta))
-    frame = np.hstack([kernel.Qt.T, _piece(problem, "B", _b_factors)[0]])
-    K = frame.T @ (2.0 * kernel.CU - np.eye(problem.ny)) @ frame
-    nz = problem.nz
+    return _kernel_blocks(make_engine(problem, beta))
+
+
+def _kernel_blocks(engine):
+    """:func:`build_k_matrix` for the pair of ``engine``; N is not formed."""
+    p, nz = engine.problem, engine.problem.nz
+    frame = np.hstack([engine.Qt.T, _piece(p, "B", _b_factors)[0]])
+    K = frame.T @ (2.0 * engine.CU - np.eye(p.ny)) @ frame
     K[nz:] *= -1.0  # J K J
     K[:, nz:] *= -1.0
     return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
@@ -201,7 +206,12 @@ class SpectralReport:
         return {**asdict(self), "eigenvalues": eigenvalues}
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+        """The report as JSON; a non-finite field raises :class:`NumericalError` naming it."""
+        data = self.to_dict()
+        for name, value in data.items():
+            if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
+                raise NumericalError(f"spectral report field {name} is not finite")
+        return json.dumps(data, indent=1, sort_keys=True)
 
 
 def classify_regime(gamma, kappa):
@@ -242,12 +252,12 @@ def _enclosure_ok(eigs, regime, gamma, kappa, k_norm, nz, ny):
 def classify_and_verify(problem, beta):
     """Full spectral report: extremes, regime, eigenvalue enclosure, factors.
 
-    One pass forms each piece once; the pieces that do not depend on beta
-    are reused from an earlier report on the same problem.  c1 =
-    ||S|| ||S^{-1}|| ||G||^2 for the Schur scaling S = blkdiag(beta I,
-    beta R, I); kappa_P, kappa_M are the condition numbers of P, M; kappa_X
-    is the eigenvector conditioning of K (None if numerically singular).
-    Guarded to total dimension 400.
+    One pass factors the pair once and forms each piece once; the pieces
+    that do not depend on beta are reused from an earlier report on the
+    same problem.  c1 = ||S|| ||S^{-1}|| ||G||^2 for the Schur scaling
+    S = blkdiag(beta I, beta R, I); kappa_P, kappa_M are the condition
+    numbers of P, M; kappa_X is the eigenvector conditioning of K (None if
+    numerically singular).  Guarded to total dimension 400.
     """
     engine = make_engine(problem, beta)
     beta = engine.beta
@@ -258,7 +268,7 @@ def classify_and_verify(problem, beta):
     m, ell, kappa = dtilde_extremes(problem)
     gamma = max(beta / m, ell / beta)
     sigma = _piece(problem, "B", _b_factors)[1]
-    K = build_k_matrix(problem, beta).K
+    K = _kernel_blocks(engine).K
     k_norm = float(np.linalg.norm(K, 2))
     eigs, X = np.linalg.eig(K)
     regime = classify_regime(gamma, kappa)

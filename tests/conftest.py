@@ -1,5 +1,6 @@
 """Shared problem factories and call spies for the test suite."""
 
+import functools
 import importlib
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from admmgmres.core import SaddleProblem
+from admmgmres.precond import AdmmEngine
 from admmgmres.randgen import GenSpec, haar_orthogonal, random_problem
 
 
@@ -68,6 +70,19 @@ def count_calls(monkeypatch, name):
 
         monkeypatch.setattr(module, name, spy)
     return calls
+
+
+# the fields of an engine that its kernel coordinate forms on first read
+KERNEL_FIELDS = {"Qt", "T", "CU", "N"}
+
+
+def spy_formed(monkeypatch, name):
+    """Spy on the cached engine field ``name``; return the engines that formed it."""
+    formed, original = [], getattr(AdmmEngine, name).func
+    spy = functools.cached_property(lambda engine: formed.append(engine) or original(engine))
+    spy.__set_name__(AdmmEngine, name)
+    monkeypatch.setattr(AdmmEngine, name, spy)
+    return formed
 
 
 @pytest.fixture

@@ -15,14 +15,15 @@ from admmgmres.core import (
     kkt_residual,
 )
 from admmgmres.gmres import admm_gmres_solve
-from admmgmres.precond import KernelSweep, apply_inverse, assemble_precond, kernel_sweep
+from admmgmres.precond import AdmmEngine, apply_inverse, assemble_precond
 from admmgmres.spectral import (
     build_iteration_matrix,
     build_k_matrix,
     conditioning_factors,
     dtilde_extremes,
 )
-from conftest import count_calls, extremes_problem, random_dims, seeded_problem
+from conftest import (KERNEL_FIELDS, count_calls, extremes_problem, random_dims, seeded_problem,
+                      spy_formed)
 from oracles import schur_pieces
 
 TOL = 1e3 * np.finfo(float).eps
@@ -327,19 +328,18 @@ class TestSolve:
         assert trace.converged and trace.iterations == 10
         assert trace.residuals[-1] == kkt_residual(problem, trace.solution)
 
-    def test_non_finite_estimate_inside_a_block_names_its_iteration(self, problem42, monkeypatch):
+    def test_non_finite_estimate_inside_a_block_names_its_iteration(self, problem42):
         # a CU scaled by 1e100 grows the difference chain d_{k+1} = CU d_k by
         # about 1e100 a sweep, so the estimate ||N d_k|| of iterate k + 1
         # overflows a few entries into the first block; the record must
         # raise there, with the message of a single non-finite entry
         engine = make_engine(problem42, 1.0)
-        kernel = kernel_sweep(engine)
-        scaled = dataclasses.replace(kernel, CU=1e100 * kernel.CU)
-        monkeypatch.setattr(admm, "kernel_sweep", lambda engine: scaled)
-        d, k = kernel.offset(apply_inverse(engine, problem42.rhs())), 2
+        N = engine.N
+        engine.CU = 1e100 * engine.CU
+        d, k = engine.offset(apply_inverse(engine, problem42.rhs())), 2
         with np.errstate(over="ignore", invalid="ignore"):
-            while math.isfinite(math.sqrt((kernel.N @ d) @ (kernel.N @ d))):
-                d, k = scaled.CU @ d, k + 1
+            while math.isfinite(math.sqrt((N @ d) @ (N @ d))):
+                d, k = engine.CU @ d, k + 1
             assert 2 < k < admm._BLOCK
             with pytest.raises(NumericalError, match=(
                 rf"^admm at beta=1.0: non-finite KKT residual at iteration {k}; "
@@ -477,13 +477,6 @@ class TestSharedPath:
     """Plain ADMM and both GMRES sides are one solve with different inner runs."""
 
     @staticmethod
-    def spy_kernel_sweep(monkeypatch):
-        kernels, original = [], admm.kernel_sweep
-        monkeypatch.setattr(admm, "kernel_sweep",
-                            lambda engine: kernels.append(original(engine)) or kernels[-1])
-        return kernels
-
-    @staticmethod
     def solve(problem, beta, method, **kwargs):
         if method == "admm":
             return admm_solve(make_engine(problem, beta), **kwargs)
@@ -492,13 +485,14 @@ class TestSharedPath:
     @pytest.mark.parametrize("method", ["admm", "left", "right"])
     @pytest.mark.parametrize("cycled", [False, True], ids=["6-4-2", "cycled-19-4-4"])
     def test_one_kernel_per_solve(self, problem42, monkeypatch, method, cycled):
-        # one kernel_sweep however many inner runs the solve makes, and no
-        # method caches anything more on it
+        # one CU however many inner runs the solve makes, and no method
+        # caches anything on the engine beyond the kernel coordinate's fields
         problem, beta = (seeded_problem(*CYCLED[0]), CYCLED[1]) if cycled else (problem42, 1.0)
-        kernels = self.spy_kernel_sweep(monkeypatch)
+        formed = spy_formed(monkeypatch, "CU")
         trace = self.solve(problem, beta, method, max_iter=400 if method == "admm" else None)
-        assert len(kernels) == 1
-        assert vars(kernels[0]).keys() == {f.name for f in dataclasses.fields(KernelSweep)}
+        assert len(formed) == 1
+        fields = {f.name for f in dataclasses.fields(AdmmEngine)}
+        assert vars(formed[0]).keys() == fields | KERNEL_FIELDS
         if cycled and method != "admm":
             # a run records at most 1 + ny iterates, so this solve made three
             # (left) or two (right)
@@ -507,13 +501,31 @@ class TestSharedPath:
 
     def test_first_iterate_is_shared(self, problem42, monkeypatch):
         # at max_iter = 1 every method records the same sweep from the start,
-        # forms no kernel, and returns the same iterate
-        kernels = self.spy_kernel_sweep(monkeypatch)
+        # forms nothing of the kernel coordinate, and returns the same iterate
+        formed = [spy_formed(monkeypatch, name) for name in KERNEL_FIELDS]
+        engine = make_engine(problem42, 0.7)
         u0 = np.random.default_rng(2).standard_normal(problem42.dim)
-        traces = [self.solve(problem42, 0.7, method, u0=u0, max_iter=1)
-                  for method in ("admm", "left", "right")]
-        assert kernels == []
+        traces = [admm_solve(engine, u0=u0, max_iter=1)]
+        traces += [admm_gmres_solve(problem42, 0.7, side, u0=u0, max_iter=1)
+                   for side in ("left", "right")]
+        assert formed == [[]] * len(KERNEL_FIELDS)
+        assert "CU" not in vars(engine)
         for trace in traces:
             assert trace.iterations == 1 and not trace.converged
             assert trace.residuals[:2].tobytes() == traces[0].residuals[:2].tobytes()
             assert trace.solution.tobytes() == traces[0].solution.tobytes()
+
+    def test_reused_engine_forms_its_kernel_once(self, problem42, monkeypatch):
+        # the kernel coordinate is kept with the engine: a second solve on it
+        # forms no CU, and returns the bits of a solve on a fresh engine
+        formed = spy_formed(monkeypatch, "CU")
+        engine = make_engine(problem42, 1.0)
+        first, second = admm_solve(engine), admm_solve(engine)
+        assert formed == [engine]
+        fresh = admm_solve(make_engine(problem42, 1.0))
+        assert len(formed) == 2
+        for name in KERNEL_FIELDS:  # shared by every solve, so no solve may write to it
+            assert not getattr(engine, name).flags.writeable, name
+        for trace in (second, fresh):
+            assert trace.residuals.tobytes() == first.residuals.tobytes()
+            assert trace.solution.tobytes() == first.solution.tobytes()

@@ -16,6 +16,7 @@ from admmgmres.bounds import (
     two_interval_bound,
     two_interval_split_ratio,
 )
+from admmgmres.core import NumericalError
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.spectral import conditioning_factors, dtilde_extremes
 from oracles import disk_interval_polynomial, two_interval_polynomial
@@ -276,6 +277,26 @@ class TestTheoremCurve:
         # eps 2 or k_max -3 returned a curve (the latter an empty one)
         with pytest.raises(ValueError, match=name):
             theorem_curve("prop5", k_max, 1.0, 1.0, 1.0, (math.e, 1.0, 1.0, 1.0), epsilon)
+
+    @pytest.mark.parametrize("kind, beta, factors, name", [
+        ("prop5", 1.0, (math.inf, 1.0, 1.0, 1.0), "c1"),
+        ("prop5", 1.0, (1.0, 1.0, 1.0, math.nan), "kappa_M"),
+        ("prop5", 1.0, (1e200, 1.0, 1.0, 1e200), None),
+        ("thm7", 3.0, (math.inf, 1.0, 1.0, 1.0), "c1"),
+        ("thm7", 3.0, (1.0, math.inf, 1.0, 1.0), "kappa_P"),
+        ("thm7", 3.0, (1e200, 1e200, 1.0, math.inf), None),
+        ("thm9", 1.0, (math.inf, 1.0, 1.0, 1.0), "c1"),
+        ("thm9", 1.0, (1.0, 1.0, math.inf, 1.0), "kappa_X"),
+        ("thm9", 1.0, (1e200, 1.0, 1e200, 1.0), None),
+    ])
+    def test_non_finite_curve_raises_naming_its_factor(self, kind, beta, factors, name):
+        # an overflowing c1 once ended prop5 in an OverflowError from
+        # math.ceil and gave thm9 a curve of inf values.  None: finite
+        # factors whose product overflows; a factor the curve does not read
+        # (thm7's kappa_M) is not named
+        want = f"{name}=" if name else "its factors overflow"
+        with pytest.raises(NumericalError, match=rf"^'{kind}' bound is not finite: {want}"):
+            theorem_curve(kind, 5, beta, 0.5, 2.0, factors, 1e-6)
 
     def test_curve_holds_only_its_values_and_kind(self):
         # a params dict of the inputs was once filled on every curve and never read

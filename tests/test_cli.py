@@ -2,10 +2,14 @@ import csv
 import json
 import math
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admmgmres import cli
 from admmgmres.cli import main
@@ -416,6 +420,27 @@ def test_beta_with_infinite_reciprocal_names_beta(problem_file, capsys, command)
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, scale", [("B", 1e150), ("B", 1e-150), ("D", 1e150),
+                                          ("D", 1e-150)])
+@pytest.mark.parametrize("command", [["spectrum", "--beta", "auto"], ["bounds", "--kind", "prop5"],
+                                     ["bounds", "--kind", "thm9"]],
+                         ids=["spectrum", "bounds-prop5", "bounds-thm9"])
+def test_overflowing_c1_exits_3_and_names_it(tmp_path, problem_file, capsys, block, scale,
+                                             command):
+    # c1 = |S| |S^-1| |G|^2 overflows to inf on these scalings; spectrum once
+    # wrote "c1": Infinity, which is not JSON, bounds thm9 a CSV of inf and
+    # bounds prop5 an OverflowError traceback
+    data = json.loads(problem_file.read_text(encoding="utf-8"))
+    data[block] = (scale * np.array(data[block])).tolist()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command[0], str(bad), *command[1:], "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "c1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["bounds", "PROBLEM", "--kind", "prop5", "--eps", "0"], "epsilon"),
     (["bounds", "PROBLEM", "--kind", "prop5", "--eps", "-1"], "epsilon"),
@@ -444,3 +469,44 @@ def test_bad_flag_exits_2_and_names_it(tmp_path, problem_file, capsys, argv, nam
     err = capsys.readouterr().err
     assert name in err.splitlines()[-1] and "Traceback" not in err
     assert not out.exists()
+
+
+# One mutation of a valid 6-4-2 problem file: a field set to an odd value,
+# or a block scaled toward overflow or underflow.
+FUZZ_FIELDS = ("nx", "ny", "nz", "A", "B", "D", "rx", "rz", "ry", "provenance")
+FUZZ_VALUES = (None, True, -1, 2**70, math.nan, math.inf, -math.inf, "abc", [], {},
+               [[1.0, [2.0]], [3.0]])
+FUZZ_BLOCKS = ("A", "B", "D", "rx", "rz", "ry")
+MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES)),
+    st.tuples(st.just("scale"), st.sampled_from(FUZZ_BLOCKS),
+              st.sampled_from((1e150, 1e-150, 1e300, 1e-300))),
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@example(("scale", "B", 1e150))  # c1 overflows: once a traceback from bounds prop5
+@given(MUTATIONS)
+def test_mutated_problem_file_exits_0_2_or_3(mutation):
+    # every command either works or says why with its exit code: no exception
+    # escapes main, and a solve that exits 0 never claims convergence at a
+    # non-finite residual
+    edit, field, value = mutation
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        path = directory / "p.json"
+        assert main(gen_args(path, seed=1)) == 0
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data[field] = value if edit == "set" else [value * entry for entry in data[field]]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        prefix = directory / "run"
+        for method in ("admm", "gmres-left", "gmres-right"):
+            rc = main(["solve", str(path), "--method", method, "--out-prefix", str(prefix)])
+            assert rc in (0, 2, 3), method
+            if rc == 0:
+                record = json.loads((directory / "run.json").read_text(encoding="utf-8"))
+                assert not record["converged"] or math.isfinite(record["final_rel_residual"])
+        for command in (["spectrum", "--beta", "auto"], ["bounds", "--kind", "prop5"],
+                        ["bounds", "--kind", "thm9"]):
+            rc = main([command[0], str(path), *command[1:], "-o", str(directory / "out")])
+            assert rc in (0, 2, 3), command

@@ -9,7 +9,7 @@ from admmgmres import admm
 from admmgmres.admm import admm_solve, make_engine
 from admmgmres.core import NumericalError, direct_solve, kkt_residual
 from admmgmres.gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
-from admmgmres.precond import apply_inverse, kernel_sweep
+from admmgmres.precond import apply_inverse
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
 from conftest import count_calls, random_dims, seeded_problem
@@ -425,9 +425,9 @@ def test_recorded_estimates_match_the_dense_least_squares_oracle(dims, beta_of, 
     # compared: the last entry is a fresh residual.  Seen: within 1.4e-9.
     p = seeded_problem(*dims)
     beta = beta_of(*dtilde_extremes(p)[:2])
-    kernel = kernel_sweep(make_engine(p, beta))
-    c = kernel.offset(apply_inverse(kernel.engine, p.rhs()))
-    N, I_CU = kernel.N, np.eye(p.ny) - kernel.CU
+    engine = make_engine(p, beta)
+    c = engine.offset(apply_inverse(engine, p.rhs()))
+    N, I_CU = engine.N, np.eye(p.ny) - engine.CU
     trace = admm_gmres_solve(p, beta, side, max_iter=1 + p.ny)  # one run
     assert trace.iterations >= 3
     for k in range(1, trace.iterations - 1):

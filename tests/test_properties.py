@@ -33,7 +33,7 @@ from scipy.optimize import linear_sum_assignment
 from admmgmres.admm import admm_solve, admm_step, make_engine
 from admmgmres.core import SaddleProblem, assemble_kkt, direct_solve, kkt_residual
 from admmgmres.gmres import admm_gmres_solve
-from admmgmres.precond import apply_inverse, assemble_precond, kernel_sweep, sweep_columns
+from admmgmres.precond import apply_inverse, assemble_precond, sweep_columns
 from admmgmres.randgen import GenSpec, random_problem
 from admmgmres.spectral import (
     SpectralReport,
@@ -120,7 +120,7 @@ def test_report_holds_over_the_wide_penalty_range(case):
     assert report.enclosure_ok
     expected = (report.gamma - 1.0) / (report.gamma + 1.0)
     assert abs(report.k_norm - expected) <= 1e-8 * max(report.k_norm, 1e-6)
-    CU = kernel_sweep(make_engine(problem, beta)).CU
+    CU = make_engine(problem, beta).CU
     gap = np.abs(2.0 * np.linalg.eigvals(CU)[:, None] - 1.0 - report.eigenvalues[None, :])
     rows, cols = linear_sum_assignment(gap)
     assert np.max(gap[rows, cols]) <= 1e-9
@@ -214,7 +214,7 @@ def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
     # D + beta A'A, whose roundoff grows with gamma = max(beta / m, ell / beta);
     # seen: under 5e-3 of this bound.
     problem, beta, _ = case
-    CU = kernel_sweep(make_engine(problem, beta)).CU
+    CU = make_engine(problem, beta).CU
     lam, X = np.linalg.eig(reference_kernel(problem, beta))
     m, ell, _ = dtilde_extremes(problem)
     gap = np.abs(np.linalg.eigvals(CU)[:, None] - (1.0 + lam[None, :]) / 2.0)
@@ -231,15 +231,14 @@ def test_kernel_estimate_is_the_fresh_residual_of_its_iterate(case):
     # penalties
     problem, beta, rng = case
     engine = make_engine(problem, beta)
-    kernel = kernel_sweep(engine)
     u0 = rng.standard_normal(problem.dim)
     s0 = problem.rhs() - assemble_kkt(problem) @ u0
     b = apply_inverse(engine, s0)
-    c, t = kernel.offset(b), rng.standard_normal(problem.ny)
-    step = kernel.N @ (kernel.CU - np.eye(problem.ny))
-    estimate = np.linalg.norm(step @ t + kernel.N @ c)
+    c, t = engine.offset(b), rng.standard_normal(problem.ny)
+    step = engine.N @ (engine.CU - np.eye(problem.ny))
+    estimate = np.linalg.norm(step @ t + engine.N @ c)
     start = u0.copy()
-    start[problem.nx :] += kernel.lift(t) + b[problem.nx :]
+    start[problem.nx :] += engine.lift(t) + b[problem.nx :]
     u = admm_step(engine, start)
     M, P = assemble_kkt(problem), assemble_precond(engine)
     scale = np.linalg.norm(M @ np.linalg.inv(P), 2) * np.linalg.norm(P, 2)

@@ -9,7 +9,8 @@ import admmgmres
 
 ROOT = Path(__file__).resolve().parents[1]
 REMOVED = ("Iterate", "affine_offset", "convergence_threshold", "KktSystem",
-           "SchurPieces", "schur_pieces", "two_interval_polynomial", "disk_interval_polynomial")
+           "SchurPieces", "schur_pieces", "two_interval_polynomial", "disk_interval_polynomial",
+           "KernelSweep", "kernel_sweep")
 
 
 def modules():

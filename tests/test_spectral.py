@@ -22,7 +22,7 @@ from admmgmres.spectral import (
     dtilde_extremes,
     eigvec_condition,
 )
-from conftest import extremes_problem, random_dims, seeded_problem
+from conftest import KERNEL_FIELDS, extremes_problem, random_dims, seeded_problem, spy_formed
 from oracles import schur_pieces
 
 
@@ -178,17 +178,26 @@ class TestKernel:
         assert np.linalg.norm(JK - JK.T) <= 1e-10
 
     def test_one_kernel_sweep_per_kernel(self, problem42, monkeypatch):
-        # K is read off the solvers' own sweep: one kernel_sweep per
-        # build_k_matrix, at the caller's problem and penalty, and one per report
-        kernels, original = [], spectral.kernel_sweep
-        monkeypatch.setattr(spectral, "kernel_sweep",
-                            lambda engine: kernels.append(original(engine)) or kernels[-1])
+        # K is read off the solvers' own sweep: one CU per build_k_matrix,
+        # at the caller's problem and penalty, and one per report
+        formed = spy_formed(monkeypatch, "CU")
         K = build_k_matrix(problem42, 1.3).K
-        assert len(kernels) == 1
-        assert kernels[0].engine.problem is problem42 and kernels[0].engine.beta == 1.3
+        assert len(formed) == 1
+        assert formed[0].problem is problem42 and formed[0].beta == 1.3
         report = classify_and_verify(problem42, 1.3)
-        assert len(kernels) == 2
+        assert len(formed) == 2
         assert np.array_equal(np.linalg.eig(K)[0], report.eigenvalues)
+
+    def test_report_factors_once_and_forms_no_residual_map(self, problem42, monkeypatch):
+        # the report reads K off the engine it factors for P and G, so one
+        # make_engine per report, and N, which only the solvers read, is not formed
+        engines, original = [], spectral.make_engine
+        monkeypatch.setattr(spectral, "make_engine",
+                            lambda *args: engines.append(original(*args)) or engines[-1])
+        formed = spy_formed(monkeypatch, "N")
+        classify_and_verify(problem42, 1.3)
+        assert len(engines) == 1 and formed == []
+        assert vars(engines[0]).keys() & KERNEL_FIELDS == {"Qt", "T", "CU"}
 
     def test_blocks_match_structure(self):
         p = seeded_problem(6, 4, 2, 0.5, 42)
