@@ -7,6 +7,9 @@ conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.  K is read off the engine's matrix CU, the
 one the solvers iterate: K = J [Q P]' (2 CU - I) [Q P] J, similar to
 2 CU - I.  A report factors its (problem, beta) pair once, into one engine.
+||K|| comes from the symmetric eigensolve of J K; outside [m, ell], where
+J K or -J K is positive definite, so do K's spectrum and kappa_X, and
+inside it K's eigenpairs come from the dense nonsymmetric eigensolver.
 
 Everything here is dense and intended for verification at desk scale; the
 explicit constructions are guarded to total dimension 400 by
@@ -129,51 +132,62 @@ def eigvec_condition(K, nz=None):
 
     The value depends on the column scaling of the eigenvector matrix, so
     the best of several canonical scalings is reported: the unit-column
-    basis from the dense eigensolver, a norm-balanced rescaling of it, and,
-    when J K (or -J K) is positive definite, the similarity construction
-    that symmetrizes K and is provably well conditioned in that regime.
-    Returns None when every candidate exceeds 1e12.
+    basis, a norm-balanced rescaling of it, and, when J K (or -J K) is
+    positive definite, the similarity construction that symmetrizes K and
+    is provably well conditioned in that regime.  That construction assumes
+    a J-symmetric K (J K symmetric for J = blkdiag(I_nz, -I)), such as the
+    one :func:`build_k_matrix` returns; ``nz`` None skips it.  Returns None
+    when every candidate exceeds 1e12.
     """
-    return _eigvec_condition(K, np.linalg.eig(K)[1], nz)
+    return _spectrum(K, nz)[2]
 
 
-def _eigvec_condition(K, X, nz):
-    """:func:`eigvec_condition` for the eigenvector matrix X of K."""
-    candidates = []
-    try:
-        Xi = np.linalg.inv(X)
-    except np.linalg.LinAlgError:
-        Xi = None
+def _spectrum(K, nz):
+    """Eigenvalues, ||K||_2 and :func:`eigvec_condition` of a J-symmetric K.
+
+    H = sym(J K) has ||H||_2 = ||K||_2, J being orthogonal.  When s H is
+    positive definite for a sign s (beta outside [m, ell]), K = s J W^2 for
+    W = (s H)^{1/2} is similar to the symmetric s W J W = V diag(eigs) V':
+    its eigenvalues are exactly real and ascending, its eigenvectors are
+    X = W^{-1} V, and cond(W^{-1}) = sqrt(cond(H)) is the closed-form
+    candidate.  Otherwise the eigenpairs come from the dense nonsymmetric
+    eigensolver.  With ``nz`` None there is no H and ||K|| is None.
+    """
+    k_norm, sign, candidates = None, 0.0, []
+    if nz is not None and 0 < nz <= K.shape[0]:
+        Jd = np.where(np.arange(K.shape[0]) < nz, 1.0, -1.0)
+        H = Jd[:, None] * K
+        hw, hV = np.linalg.eigh(0.5 * (H + H.T))
+        k_norm = float(max(-hw[0], hw[-1]))
+        sign = 1.0 if hw[0] > 0 else -1.0 if hw[-1] < 0 else 0.0
+    if sign:
+        root = np.sqrt(sign * hw)
+        W = (hV * root) @ hV.T
+        eigs, V = np.linalg.eigh(sign * (W * Jd) @ W)
+        # X = W^{-1} V loses eps sqrt(cond(H)) near the ends of [m, ell]; its
+        # columns are also parallel to those of J W V, which loses most where
+        # W^{-1} V loses least, so each column is read off the better of the two.
+        A, B = (hV / root) @ (hV.T @ V), Jd[:, None] * (W @ V)
+        na, nb = np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
+        X = np.where(na * root.min() * root.max() > nb, A / na, B / nb)
+        # The columns are J-orthogonal: X^{-1} = (X' J X)^{-1} X' J.
+        Xi = (X.T * Jd) / np.einsum("ij,i,ij->j", X, Jd, X)[:, None]
+        candidates.append(root.max() / root.min())
+    else:
+        eigs, X = np.linalg.eig(K)
+        try:
+            Xi = np.linalg.inv(X)
+        except np.linalg.LinAlgError:
+            Xi = None
     if Xi is not None:
         candidates.append(np.linalg.cond(X))
         scale = np.sqrt(np.linalg.norm(Xi, axis=1))
-        good = np.isfinite(scale) & (scale > 0)
-        if np.all(good):
+        if np.all(np.isfinite(scale) & (scale > 0)):
             candidates.append(np.linalg.cond(X * scale[None, :]))
 
-    if nz is not None and 0 < nz <= K.shape[0]:
-        H = K.copy()
-        H[nz:] *= -1.0  # J K for J = blkdiag(I, -I)
-        H = 0.5 * (H + H.T)
-        for sign in (1.0, -1.0):
-            hw, hV = np.linalg.eigh(sign * H)
-            if hw[0] > 0:
-                # W = (sign*H)^{1/2}; W K W^{-1} is symmetric, its orthogonal
-                # eigenbasis pulls back to X = W^{-1} V with cond(X) =
-                # sqrt(cond(H)).
-                W = (hV * np.sqrt(hw)) @ hV.T
-                Winv = (hV / np.sqrt(hw)) @ hV.T
-                T = W @ K @ Winv
-                T = 0.5 * (T + T.T)
-                _, Vt = np.linalg.eigh(T)
-                candidates.append(np.linalg.cond(Winv @ Vt))
-                break
-
     finite = [c for c in candidates if np.isfinite(c)]
-    if not finite:
-        return None
-    best = min(finite)
-    return None if best > _EIGVEC_CUTOFF else float(best)
+    best = min(finite) if finite else np.inf
+    return eigs, k_norm, None if best > _EIGVEC_CUTOFF else float(best)
 
 
 @dataclass
@@ -184,7 +198,8 @@ class SpectralReport:
     kappa]), ``single_interval`` (gamma in (kappa, 2 kappa]) and
     ``two_intervals`` (gamma > 2 kappa); ``enclosure_ok`` records whether
     every computed eigenvalue lies in the advertised region for that
-    regime.  ``kappa_X`` is None when no acceptably conditioned eigenvector
+    regime; for beta outside [m, ell] the eigenvalues are exactly real and
+    ascending.  ``kappa_X`` is None when no acceptably conditioned eigenvector
     matrix was found.
     """
 
@@ -257,7 +272,10 @@ def classify_and_verify(problem, beta):
     same problem.  c1 = ||S|| ||S^{-1}|| ||G||^2 for the Schur scaling
     S = blkdiag(beta I, beta R, I); kappa_P, kappa_M are the condition
     numbers of P, M; kappa_X is the eigenvector conditioning of K (None if
-    numerically singular).  Guarded to total dimension 400.
+    numerically singular).  ||K|| comes from the ``eigh`` of J K; outside
+    [m, ell] the eigenvalues and kappa_X do too, and the eigenvalues are
+    exactly real and ascending; inside they come from ``eig``.  Guarded to
+    total dimension 400.
     """
     engine = make_engine(problem, beta)
     beta = engine.beta
@@ -268,9 +286,7 @@ def classify_and_verify(problem, beta):
     m, ell, kappa = dtilde_extremes(problem)
     gamma = max(beta / m, ell / beta)
     sigma = _piece(problem, "B", _b_factors)[1]
-    K = _kernel_blocks(engine).K
-    k_norm = float(np.linalg.norm(K, 2))
-    eigs, X = np.linalg.eig(K)
+    eigs, k_norm, kappa_X = _spectrum(_kernel_blocks(engine).K, problem.nz)
     regime = classify_regime(gamma, kappa)
     # R has the singular values of B, so ||S|| ||S^{-1}|| has a closed form.
     s_cond = max(beta, beta * sigma[0], 1.0) * max(1.0 / beta, 1.0 / (beta * sigma[-1]), 1.0)
@@ -285,7 +301,7 @@ def classify_and_verify(problem, beta):
         enclosure_ok=_enclosure_ok(eigs, regime, gamma, kappa, k_norm, problem.nz, problem.ny),
         c1=float(s_cond * np.linalg.norm(G, 2) ** 2),
         kappa_P=float(np.linalg.cond(P, 2)),
-        kappa_X=_eigvec_condition(K, X, problem.nz),
+        kappa_X=kappa_X,
         kappa_M=_piece(problem, "cond_M", lambda p: float(np.linalg.cond(assemble_kkt(p), 2))),
     )
 

@@ -3,8 +3,10 @@
 :func:`schur_pieces` builds the full block-Schur form of G(beta), the dense
 reference for the closed-form c1 of a spectral report; :func:`reference_kernel`
 builds K(beta) from the eigenpairs of A D^{-1} A' and the QR factors of B,
-apart from the sweep the package reads K from; the two witness polynomials
-attain the min-max bounds of :mod:`admmgmres.bounds`.
+apart from the sweep the package reads K from; :func:`reference_spectrum`
+reads K's spectrum, norm and eigenvector conditioning off the dense
+nonsymmetric eigensolver, apart from the symmetric route of a report; the
+two witness polynomials attain the min-max bounds of :mod:`admmgmres.bounds`.
 """
 
 from dataclasses import dataclass
@@ -56,6 +58,41 @@ def reference_kernel(problem, beta):
     Kt = (V * ((beta * w - 1.0) / (beta * w + 1.0))) @ V.T
     Q, P, _ = qr_pieces(problem.B)
     return np.vstack([Q.T, -P.T]) @ (0.5 * (Kt + Kt.T)) @ np.hstack([Q, P])
+
+
+def reference_spectrum(K, nz):
+    """(eigenvalues, ||K||_2, kappa_X) of K from ``eig``, an SVD and ``inv``.
+
+    kappa_X is the least of three condition numbers below 1e12, else None:
+    ``eig``'s unit-column eigenvector matrix X, its norm-balanced rescaling,
+    and, when J K or -J K is positive definite for J = blkdiag(I_nz, -I),
+    W^{-1} V for W = (+-J K)^{1/2} and the eigenvectors V of W K W^{-1}.
+    """
+    eigs, X = np.linalg.eig(K)
+    candidates = []
+    try:
+        Xi = np.linalg.inv(X)
+    except np.linalg.LinAlgError:
+        Xi = None
+    if Xi is not None:
+        candidates.append(np.linalg.cond(X))
+        scale = np.sqrt(np.linalg.norm(Xi, axis=1))
+        if np.all(np.isfinite(scale) & (scale > 0)):
+            candidates.append(np.linalg.cond(X * scale[None, :]))
+    H = K.copy()
+    H[nz:] *= -1.0
+    H = 0.5 * (H + H.T)
+    for sign in (1.0, -1.0):
+        hw, hV = np.linalg.eigh(sign * H)
+        if hw[0] > 0:
+            W = (hV * np.sqrt(hw)) @ hV.T
+            Winv = (hV / np.sqrt(hw)) @ hV.T
+            T = W @ K @ Winv
+            V = np.linalg.eigh(0.5 * (T + T.T))[1]
+            candidates.append(np.linalg.cond(Winv @ V))
+            break
+    finite = [c for c in candidates if np.isfinite(c) and c <= 1e12]
+    return eigs, float(np.linalg.norm(K, 2)), min(finite) if finite else None
 
 
 def schur_pieces(problem, beta):

@@ -271,6 +271,19 @@ class TestSpectrum:
             assert report["regime"] == regime, f"beta={beta}"
             assert report["enclosure_ok"] is True
 
+    def test_penalty_outside_the_extremes_gives_real_ascending_eigenvalues(self, tmp_path):
+        # the 6-4-2 seed-1 file has [m, ell] = [1.14, 3.08]: beta = 100 is in
+        # two_intervals, where the report's eigenvalues come from eigh
+        path, out = tmp_path / "p.json", tmp_path / "s100.json"
+        assert main(["gen", "--nx", "6", "--ny", "4", "--nz", "2", "--seed", "1",
+                     "-o", str(path)]) == 0
+        assert main(["spectrum", str(path), "--beta", "100", "-o", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["regime"] == "two_intervals" and report["enclosure_ok"] is True
+        assert all(im == 0.0 for _, im in report["eigenvalues"])
+        real = [re for re, _ in report["eigenvalues"]]
+        assert real == sorted(real)
+
     def test_auto_beta_hits_root_kappa(self, tmp_path, problem_file):
         out = tmp_path / "spec.json"
         assert main(["spectrum", str(problem_file), "--beta", "auto", "-o", str(out)]) == 0

@@ -23,7 +23,7 @@ from admmgmres.spectral import (
     eigvec_condition,
 )
 from conftest import KERNEL_FIELDS, extremes_problem, random_dims, seeded_problem, spy_formed
-from oracles import schur_pieces
+from oracles import reference_spectrum, schur_pieces
 
 
 def complex_disk_radius(K, nz, grid_step=1e-3, refine_iters=60):
@@ -313,6 +313,49 @@ class TestClassification:
             "enclosure_ok", "c1", "kappa_P", "kappa_X", "kappa_M",
         }
         assert len(data["eigenvalues"]) == problem42.ny
+
+
+# Penalties outside [m, ell] as (end, factor): beta = factor * m or factor * ell.
+OUTSIDE = ([("ell", 1.0 + d) for d in (1e-1, 1e-5, 1e-9, 1e-11)]
+           + [("m", 1.0 - d) for d in (1e-1, 1e-5, 1e-9, 1e-11)]
+           + [("m", 1e-6), ("ell", 1e6)])
+
+
+class TestSymmetricRoute:
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (7, 5, 3, 0.6, 7), (16, 11, 4, 1.5, 11)],
+                             ids=["p42", "p7", "p16"])
+    @pytest.mark.parametrize("end, factor", OUTSIDE, ids=[f"{e}*{f:.12g}" for e, f in OUTSIDE])
+    def test_outside_matches_the_eig_route(self, dims, end, factor):
+        # outside [m, ell] the report reads K's spectrum off eigh: exactly
+        # real and ascending, and the eig route's values to roundoff, also
+        # within 1e-11 of an end, where the eigenvalues of W K W^{-1} and the
+        # kappa_X of the plain pull-back X = W^{-1} V drift
+        p = seeded_problem(*dims)
+        m, ell, _ = dtilde_extremes(p)
+        beta = factor * (m if end == "m" else ell)
+        assert not m <= beta <= ell
+        K = build_k_matrix(p, beta).K
+        report = classify_and_verify(p, beta)
+        eigs, k_norm, kappa_x = reference_spectrum(K, p.nz)
+        assert np.all(np.imag(report.eigenvalues) == 0.0)
+        assert np.all(np.diff(report.eigenvalues.real) >= 0.0)
+        assert np.max(np.abs(np.sort_complex(eigs) - report.eigenvalues)) <= 1e-12 * max(1.0, k_norm)
+        assert report.k_norm == pytest.approx(k_norm, rel=1e-10)
+        assert (report.kappa_X is None) == (kappa_x is None)
+        if kappa_x is not None:
+            assert report.kappa_X == pytest.approx(kappa_x, rel=1e-10)
+        assert eigvec_condition(K, p.nz) == report.kappa_X
+
+    @pytest.mark.parametrize("beta", [0.6, 1.3, 4.0])
+    def test_inside_keeps_the_eig_route(self, problem42, beta):
+        # inside [m, ell] = [0.380, 4.466] nothing is definite: eig's
+        # eigenvalues and kappa_X to the bit, ||K|| from the eigh of J K
+        K = build_k_matrix(problem42, beta).K
+        report = classify_and_verify(problem42, beta)
+        eigs, k_norm, kappa_x = reference_spectrum(K, problem42.nz)
+        assert np.array_equal(eigs, report.eigenvalues)
+        assert report.kappa_X == kappa_x == eigvec_condition(K, problem42.nz)
+        assert report.k_norm == pytest.approx(k_norm, rel=1e-10)
 
 
 class TestConditioningFactors:
