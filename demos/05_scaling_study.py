@@ -8,7 +8,7 @@ so the square-root growth is an upper envelope; the exponent is therefore
 fitted with an upper-quantile regression.
 
 The published-scale profile is the same command with
---count 1000 --dim-max 1000 (hours, not part of the test suite).
+--count 1000 --dim-max 1000 (about 8 minutes, not part of the test suite).
 """
 
 import csv

@@ -145,10 +145,10 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
 
     so iterate 1 records ||(P - M) b||.  Otherwise the kernel coordinate of
     :class:`AdmmEngine` gives the recurrence t_k = CU t_{k-1} + c from
-    t_0 = 0, c = C b_zy, and ``inner(run, engine, c, iterate)`` records the
-    next iterates and returns the t of its last one (None if it recorded
+    t_0 = 0, c = F' C b_zy, and ``inner(run, engine, c, iterate)`` records
+    the next iterates and returns the t of its last one (None if it recorded
     none).  ``iterate(t)`` is the stacked iterate
-    u_0 + P^{-1} ((P - M)[0; U t + b_zy] + s0) whose sweep read t, one more
+    u_0 + P^{-1} ((P - M)[0; U F t + b_zy] + s0) whose sweep read t, one more
     P^{-1} formed only for a confirmation and at the end.
 
     An inner run that ends above the threshold before ``max_iter`` (ADMM's

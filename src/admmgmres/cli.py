@@ -49,10 +49,14 @@ def fit_scaling_exponent(kappas, iterations, quantile=0.9):
     """
     from scipy.optimize import linprog
 
-    lk = np.log(np.asarray(kappas, dtype=float))
-    li = np.log(np.asarray(iterations, dtype=float))
+    lk, li = np.asarray(kappas, dtype=float), np.asarray(iterations, dtype=float)
     if lk.shape != li.shape or lk.ndim != 1 or len(lk) < 8:
         raise ValueError("need at least 8 paired samples")
+    bad = np.flatnonzero(~(np.isfinite(lk) & (lk > 0) & np.isfinite(li) & (li > 0)))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]}: kappa {lk[bad[0]]} and iteration count "
+                         f"{li[bad[0]]} must both be finite and positive")
+    lk, li = np.log(lk), np.log(li)
     n = len(lk)
     design = np.column_stack([np.ones(n), lk])
     cost = np.concatenate([[0, 0, 0, 0], quantile * np.ones(n), (1 - quantile) * np.ones(n)])
@@ -60,8 +64,7 @@ def fit_scaling_exponent(kappas, iterations, quantile=0.9):
     res = linprog(cost, A_eq=a_eq, b_eq=li, bounds=[(0, None)] * (4 + 2 * n), method="highs")
     if not res.success:
         raise NumericalError(f"quantile regression failed: {res.message}")
-    coeff = res.x[:2] - res.x[2:4]
-    return float(coeff[1])
+    return float(res.x[1] - res.x[3])  # the slope, split into its two nonnegative parts
 
 
 @dataclass
@@ -188,13 +191,8 @@ def cmd_solve(args):
     _write_text(record_path, json.dumps(asdict(record), indent=1, sort_keys=True) + "\n")
     parts = dict(zip("xzy", (part.tolist() for part in stacked_parts(problem, trace.solution))))
     _write_text(solution_path, json.dumps(parts, indent=1, sort_keys=True) + "\n")
-    print(
-        f"{trace.method_tag} beta={beta:.6g} iterations={trace.iterations} "
-        f"converged={trace.converged}"
-    )
-    print(trace_path)
-    print(record_path)
-    print(solution_path)
+    print(f"{trace.method_tag} beta={beta:.6g} iterations={trace.iterations} "
+          f"converged={trace.converged}", trace_path, record_path, solution_path, sep="\n")
     return 0
 
 

@@ -184,14 +184,13 @@ def assemble_kkt(problem):
     """
     A, B, D = problem.A, problem.B, problem.D
     ny, nz = problem.ny, problem.nz
-    M = np.block(
+    return np.block(
         [
             [D, np.zeros((problem.nx, nz)), A.T],
             [np.zeros((nz, problem.nx)), np.zeros((nz, nz)), B.T],
             [A, B, np.zeros((ny, ny))],
         ]
     )
-    return M
 
 
 def stacked_parts(problem, u, block=False):

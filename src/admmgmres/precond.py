@@ -27,12 +27,14 @@ where ``dpotrs`` takes 2-6 us, for factors of order 10 to 60.  Explicit
 assembly of P is provided for verification only and is guarded to small
 dimensions.
 
-A penalty sweep on one problem pays only for the penalty: each piece that
-does not depend on beta (A'A, A'B, chol(B'B), the orthonormal basis
-Q' = L_B^{-1} B' of range(B), I - QQ', the factor R_a of A'Q, and the
-spectral module's eigenvalues of A D^{-1} A', complement of range(B) and
-singular values of B) is formed on first use and kept, by weak reference,
-for the latest problem.
+B is factored once per problem, by one Householder QR (LAPACK ``dgeqrf``
+and ``dorgqr``): its frame F = [Q P] of range(B) and the complement is the
+coordinate of the engine's sweep, and R' is the factor of B'B that P^{-1}
+reads.  A penalty sweep on one problem pays only for the penalty: each
+piece that does not depend on beta (A'A, A'B, that QR with A'F, the factor
+R_a of A'Q, and the spectral module's eigenvalues of A D^{-1} A' and
+cond(M)) is formed on first use and kept, by weak reference, for the
+latest problem.
 """
 
 import weakref
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrs, dtrtrs
 
 from .core import NumericalError, assemble_kkt, check_beta, stacked_parts
 
@@ -72,28 +74,51 @@ def _read_only(array):
     return array
 
 
+def _b_frame(problem):
+    """F = [Q P], R' and A'F of the full QR B = F [R; 0], diag(R) > 0, kept per problem."""
+    return _piece(problem, "QR of B", _qr_of_b)
+
+
+def _qr_of_b(problem):
+    nz = problem.nz
+    qr, tau = dgeqrf(problem.B)[:2]
+    F = dorgqr(np.hstack((qr, np.zeros((problem.ny, problem.ny - nz)))), tau)[0]
+    signs = np.where(np.diag(qr) < 0.0, -1.0, 1.0)
+    F[:, :nz] *= signs
+    Rt = np.asfortranarray(np.tril(qr[:nz].T) * signs)  # the lower Cholesky factor of B'B
+    return _read_only(F), _read_only(Rt), _read_only(problem.A.T @ F)
+
+
 @dataclass
 class AdmmEngine:
-    """One (problem, beta) pair: its two Cholesky factors and its sweep in the kernel coordinate.
+    """One (problem, beta) pair: its two triangular factors and its sweep in the kernel coordinate.
 
-    ``local_factor`` and ``global_factor`` are the lower Cholesky factors of
-    D + beta A'A and B'B, read-only and in Fortran order for LAPACK.
+    ``local_factor`` is the lower Cholesky factor of D + beta A'A, and
+    ``global_factor`` is R' for the full QR B = F [R; 0] with diag(R) > 0,
+    the lower Cholesky factor of B'B = R'R.  Both are read-only and in
+    Fortran order for LAPACK.  F = [Q P] is orthogonal: Q spans range(B)
+    and P (not P(beta)) its complement.  F, R' and A'F are kept per problem.
 
-    In the kernel coordinate t = C [z; y], ny long, G's (z, y) block factors
-    as U C, with C = [-beta T B, I / beta - T] and U = [-(B'B)^{-1} B';
-    beta (I - QQ')], for T = A (D + beta A'A)^{-1} A' and Q an orthonormal
-    basis of range(B).  Sweep k from u_0 moves (z, y) by U t_{k-1} + b_zy,
-    with t_0 = 0 and t_k = CU t_{k-1} + c for b = P^{-1} (r - M u_0) and
-    c = C b_zy.  CU = (I + Kt F) / 2 (Kt = 2 beta T - I, F the reflection
-    through range(B)) is similar to (I + K(beta)) / 2, the operator of the
-    paper's bounds.  P - M is zero in the x columns, so r - M u_{k+1} =
-    (P - M)[0; U (t_k - t_{k-1})] has the norm ||N (t_k - t_{k-1})|| for
-    N = [beta R_a Q'; I - QQ'], R_a the nz x nz factor of a QR of A'Q.
+    In the kernel coordinate t = F' C [z; y], ny long, G's (z, y) block
+    factors as U C with C = [-beta T B, I / beta - T] and U F =
+    [-R^{-1} E'; beta P E_P'], for T = A (D + beta A'A)^{-1} A' and E, E_P
+    the leading nz and trailing ny - nz columns of I.  Sweep k from u_0
+    moves (z, y) by U F t_{k-1} + b_zy, with t_0 = 0 and
+    t_k = CU t_{k-1} + c for b = P^{-1} (r - M u_0) and c = F' C b_zy.
+    With T_F = beta F' T F,
 
-    ``Qt`` (Q'), ``T`` (beta T), ``CU`` and ``N`` are formed on first read
-    and kept read-only, so a solve that ends at iterate 1 forms none of them
-    and every solve on the engine reads the same arrays.  Two threads that
-    read a field first may both form it, with the same bits.
+        CU = F' C U F = [T_F E, E_P - T_F E_P] = (I + J K J) / 2,
+
+    for K = K(beta), the operator of the paper's bounds, and
+    J = blkdiag(I_nz, -I).  P - M is zero in the x columns, so
+    r - M u_{k+1} = (P - M)[0; U F (t_k - t_{k-1})] has the norm
+    ||N (t_k - t_{k-1})|| for N = blkdiag(beta R_a, I), R_a the nz x nz
+    factor of a QR of A'Q.
+
+    ``T`` (T_F), ``CU`` and ``N`` are formed on first read and kept
+    read-only, so a solve that ends at iterate 1 forms none of them and
+    every solve on the engine reads the same arrays.  Two threads that read
+    a field first may both form it, with the same bits.
     """
 
     problem: object
@@ -102,57 +127,47 @@ class AdmmEngine:
     global_factor: np.ndarray
 
     @cached_property
-    def Qt(self):
-        """Q' = L_B^{-1} B' for the factor L_B of B'B, kept per problem."""
-        Qt = _piece(self.problem, "Q'", lambda p: dtrtrs(self.global_factor, p.B.T, lower=1)[0])
-        return _read_only(Qt)
-
-    @cached_property
     def T(self):
-        """beta T = beta (L^{-1} A')' (L^{-1} A') from the local factor L: one triangular solve."""
-        H = dtrtrs(self.local_factor, self.problem.A.T, lower=1)[0]
+        """T_F = beta (L^{-1} A'F)' (L^{-1} A'F) from the local factor L: one triangular solve."""
+        H = dtrtrs(self.local_factor, _b_frame(self.problem)[2], lower=1)[0]
         return _read_only(self.beta * (H.T @ H))
-
-    def _complement(self):
-        """I - QQ', the projector onto the complement of range(B), kept per problem."""
-        return _piece(self.problem, "I - QQ'", lambda p: np.eye(p.ny) - self.Qt.T @ self.Qt)
 
     @cached_property
     def CU(self):
-        return _read_only(self._complement() + 2.0 * (self.T @ self.Qt.T) @ self.Qt - self.T)
+        T, nz = self.T, self.problem.nz
+        return _read_only(np.hstack((T[:, :nz], np.eye(len(T))[:, nz:] - T[:, nz:])))
 
     @cached_property
     def N(self):
-        Ra = _piece(self.problem, "R_a", lambda p: np.linalg.qr(p.A.T @ self.Qt.T, mode="r"))
-        return _read_only(np.concatenate((self.beta * (Ra @ self.Qt), self._complement())))
+        nz, AF = self.problem.nz, _b_frame(self.problem)[2]
+        N = np.eye(self.problem.ny)
+        N[:nz, :nz] = self.beta * _piece(self.problem, "R_a",
+                                         lambda p: np.triu(dgeqrf(AF[:, :nz])[0][:nz]))
+        return _read_only(N)
 
     def offset(self, b):
-        """c = C b_zy for a stacked ``b``."""
+        """c = F' C b_zy for a stacked ``b``."""
         _, bz, by = stacked_parts(self.problem, b)
-        return (by - self.T @ by) / self.beta - self.T @ (self.problem.B @ bz)
+        T, g = self.T, _b_frame(self.problem)[0].T @ by  # F' by, and F' B bz = [R bz; 0]
+        return (g - T @ g) / self.beta - T[:, : len(bz)] @ (self.global_factor.T @ bz)
 
     def lift(self, t):
-        """U t, the stacked (z, y) correction that the kernel coordinate ``t`` stands for."""
-        q = self.Qt @ t
-        z = dtrtrs(self.global_factor, q, lower=1, trans=1)[0]
-        return np.concatenate((-z, self.beta * (t - self.Qt.T @ q)))
-
-
-def _cholesky(block):
-    return _read_only(np.asfortranarray(np.linalg.cholesky(block)))
+        """U F t = [-R^{-1} t_Q; beta P t_P], the stacked (z, y) correction ``t`` stands for."""
+        nz = self.problem.nz
+        z = dtrtrs(self.global_factor, t[:nz], lower=1, trans=1)[0]
+        return np.concatenate((-z, self.beta * (_b_frame(self.problem)[0][:, nz:] @ t[nz:])))
 
 
 def make_engine(problem, beta):
-    """Factor the two sub-solve operators for a fixed beta > 0."""
+    """Factor the two sub-solve operators for a fixed beta > 0; B's factor is kept per problem."""
     beta = check_beta(beta)
+    block = problem.D + beta * _piece(problem, "A'A", lambda p: p.A.T @ p.A)
     try:
-        failure = f"local block D + beta A'A failed at beta={beta}"
-        local = _cholesky(problem.D + beta * _piece(problem, "A'A", lambda p: p.A.T @ p.A))
-        failure = "global block B'B failed"
-        shared = _piece(problem, "chol(B'B)", lambda p: _cholesky(p.B.T @ p.B))
+        local = _read_only(np.asfortranarray(np.linalg.cholesky(block)))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization of the {failure}") from exc
-    return AdmmEngine(problem, beta, local, shared)
+        raise NumericalError("Cholesky factorization of the local block D + beta A'A "
+                             f"failed at beta={beta}") from exc
+    return AdmmEngine(problem, beta, local, _b_frame(problem)[1])
 
 
 def apply_inverse(engine, v):

@@ -5,8 +5,9 @@ K(beta) whose eigenvalues drive both ADMM and ADMM-GMRES,
 eigenvalue-enclosure verification by parameter regime, and the
 conditioning factors (c1, kappa_P, kappa_X, kappa_M) used by the
 convergence-bound evaluators.  K is read off the engine's matrix CU, the
-one the solvers iterate: K = J [Q P]' (2 CU - I) [Q P] J, similar to
-2 CU - I.  A report factors its (problem, beta) pair once, into one engine.
+one the solvers iterate, by sign flips alone: CU is written in the frame
+[Q P] of range(B) and its complement, where K = J (2 CU - I) J.  A report
+factors its (problem, beta) pair once, into one engine.
 ||K|| comes from the symmetric eigensolve of J K; outside [m, ell], where
 J K or -J K is positive definite, so do K's spectrum and kappa_X, and
 inside it K's eigenpairs come from the dense nonsymmetric eigensolver.
@@ -49,6 +50,9 @@ _ENCLOSURE_SLACK = 1e-7
 # Eigenvector matrices conditioned worse than this count as numerically singular.
 _EIGVEC_CUTOFF = 1e12
 
+# J K counts as symmetric when ||J K - (J K)'||_F is below this times ||K||_F.
+_J_SYM_RTOL = 1e-12
+
 
 def _dtilde_eig(problem):
     """Eigenvalues of the symmetrized A D^{-1} A' (W = D-tilde^{-1})."""
@@ -68,12 +72,6 @@ def dtilde_extremes(problem):
     m = 1.0 / w[-1]
     ell = 1.0 / w[0]
     return m, ell, ell / m
-
-
-def _b_factors(problem):
-    """The complement P of range(B) from a full QR of B, and the singular values of R."""
-    Qfull, Rfull = np.linalg.qr(problem.B, mode="complete")
-    return Qfull[:, problem.nz :], np.linalg.svd(Rfull[: problem.nz], compute_uv=False)
 
 
 def build_iteration_matrix(problem, beta):
@@ -107,21 +105,20 @@ class KernelBlocks:
 def build_k_matrix(problem, beta):
     """The ny x ny kernel K(beta) and its blocks, read off the solvers' sweep.
 
-    K = J [Q P]' (2 CU - I) [Q P] J for the CU and the orthonormal basis Q
-    of range(B) of :class:`admmgmres.precond.AdmmEngine`, a complement P of
-    Q and J = blkdiag(I, -I); K is similar to 2 CU - I.  Equivalently
-    K = [Q'; -P'] Kt [Q P] for the symmetric Kt = 2 beta A (D + beta A'A)^{-1}
-    A' - I, whose eigenvalues are (beta*w - 1)/(beta*w + 1) for the
-    eigenvalues w of A D^{-1} A'.
+    K = J (2 CU - I) J for the CU of :class:`admmgmres.precond.AdmmEngine`,
+    which is written in the frame [Q P] of range(B) and its complement, and
+    J = blkdiag(I, -I).  Equivalently K = [Q'; -P'] Kt [Q P] for the
+    symmetric Kt = 2 beta A (D + beta A'A)^{-1} A' - I, whose eigenvalues
+    are (beta*w - 1)/(beta*w + 1) for the eigenvalues w of A D^{-1} A'; J K
+    is symmetric to the bit.
     """
     return _kernel_blocks(make_engine(problem, beta))
 
 
 def _kernel_blocks(engine):
     """:func:`build_k_matrix` for the pair of ``engine``; N is not formed."""
-    p, nz = engine.problem, engine.problem.nz
-    frame = np.hstack([engine.Qt.T, _piece(p, "B", _b_factors)[0]])
-    K = frame.T @ (2.0 * engine.CU - np.eye(p.ny)) @ frame
+    nz = engine.problem.nz
+    K = 2.0 * engine.CU - np.eye(engine.problem.ny)
     K[nz:] *= -1.0  # J K J
     K[:, nz:] *= -1.0
     return KernelBlocks(K=K, X=K[:nz, :nz], Y=K[nz:, nz:], Z=K[:nz, nz:])
@@ -134,16 +131,16 @@ def eigvec_condition(K, nz=None):
     the best of several canonical scalings is reported: the unit-column
     basis, a norm-balanced rescaling of it, and, when J K (or -J K) is
     positive definite, the similarity construction that symmetrizes K and
-    is provably well conditioned in that regime.  That construction assumes
-    a J-symmetric K (J K symmetric for J = blkdiag(I_nz, -I)), such as the
-    one :func:`build_k_matrix` returns; ``nz`` None skips it.  Returns None
-    when every candidate exceeds 1e12.
+    is provably well conditioned in that regime.  That construction needs
+    a J-symmetric K (J K symmetric to roundoff for J = blkdiag(I_nz, -I)),
+    such as the one :func:`build_k_matrix` returns; any other K, and ``nz``
+    None, skip it.  Returns None when every candidate exceeds 1e12.
     """
     return _spectrum(K, nz)[2]
 
 
 def _spectrum(K, nz):
-    """Eigenvalues, ||K||_2 and :func:`eigvec_condition` of a J-symmetric K.
+    """Eigenvalues, ||K||_2 and :func:`eigvec_condition` of K.
 
     H = sym(J K) has ||H||_2 = ||K||_2, J being orthogonal.  When s H is
     positive definite for a sign s (beta outside [m, ell]), K = s J W^2 for
@@ -151,12 +148,13 @@ def _spectrum(K, nz):
     its eigenvalues are exactly real and ascending, its eigenvectors are
     X = W^{-1} V, and cond(W^{-1}) = sqrt(cond(H)) is the closed-form
     candidate.  Otherwise the eigenpairs come from the dense nonsymmetric
-    eigensolver.  With ``nz`` None there is no H and ||K|| is None.
+    eigensolver.  With ``nz`` None, or a K whose J K is not symmetric to
+    roundoff, there is no H, ||K|| is None and the eigensolver takes K whole.
     """
     k_norm, sign, candidates = None, 0.0, []
-    if nz is not None and 0 < nz <= K.shape[0]:
-        Jd = np.where(np.arange(K.shape[0]) < nz, 1.0, -1.0)
-        H = Jd[:, None] * K
+    Jd = np.where(np.arange(len(K)) < (nz or 0), 1.0, -1.0)
+    H = Jd[:, None] * K
+    if 0 < (nz or 0) <= len(K) and np.linalg.norm(H - H.T) <= _J_SYM_RTOL * np.linalg.norm(K):
         hw, hV = np.linalg.eigh(0.5 * (H + H.T))
         k_norm = float(max(-hw[0], hw[-1]))
         sign = 1.0 if hw[0] > 0 else -1.0 if hw[-1] < 0 else 0.0
@@ -285,10 +283,10 @@ def classify_and_verify(problem, beta):
 
     m, ell, kappa = dtilde_extremes(problem)
     gamma = max(beta / m, ell / beta)
-    sigma = _piece(problem, "B", _b_factors)[1]
+    sigma = np.linalg.svd(engine.global_factor, compute_uv=False)  # R' has B's singular values
     eigs, k_norm, kappa_X = _spectrum(_kernel_blocks(engine).K, problem.nz)
     regime = classify_regime(gamma, kappa)
-    # R has the singular values of B, so ||S|| ||S^{-1}|| has a closed form.
+    # ||S|| ||S^{-1}|| has a closed form in the singular values of R.
     s_cond = max(beta, beta * sigma[0], 1.0) * max(1.0 / beta, 1.0 / (beta * sigma[-1]), 1.0)
     return SpectralReport(
         m=m,

@@ -73,7 +73,7 @@ def count_calls(monkeypatch, name):
 
 
 # the fields of an engine that its kernel coordinate forms on first read
-KERNEL_FIELDS = {"Qt", "T", "CU", "N"}
+KERNEL_FIELDS = {"T", "CU", "N"}
 
 
 def spy_formed(monkeypatch, name):

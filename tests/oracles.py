@@ -65,8 +65,9 @@ def reference_spectrum(K, nz):
 
     kappa_X is the least of three condition numbers below 1e12, else None:
     ``eig``'s unit-column eigenvector matrix X, its norm-balanced rescaling,
-    and, when J K or -J K is positive definite for J = blkdiag(I_nz, -I),
-    W^{-1} V for W = (+-J K)^{1/2} and the eigenvectors V of W K W^{-1}.
+    and, when J K is symmetric and J K or -J K positive definite for
+    J = blkdiag(I_nz, -I), W^{-1} V for W = (+-J K)^{1/2} and the
+    eigenvectors V of W K W^{-1}.
     """
     eigs, X = np.linalg.eig(K)
     candidates = []
@@ -81,8 +82,10 @@ def reference_spectrum(K, nz):
             candidates.append(np.linalg.cond(X * scale[None, :]))
     H = K.copy()
     H[nz:] *= -1.0
+    # W^{-1} V holds eigenvectors of K only when J K is symmetric
+    j_symmetric = np.linalg.norm(H - H.T) <= 1e-12 * np.linalg.norm(K)
     H = 0.5 * (H + H.T)
-    for sign in (1.0, -1.0):
+    for sign in (1.0, -1.0) if j_symmetric else ():
         hw, hV = np.linalg.eigh(sign * H)
         if hw[0] > 0:
             W = (hV * np.sqrt(hw)) @ hV.T

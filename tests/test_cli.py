@@ -379,6 +379,19 @@ class TestScaling:
                 assert all(math.isfinite(float(right_row[column])) for column in ("beta", "kappa"))
         assert statuses["failed:ValueError"] >= 1 and statuses["ok"] >= 1
 
+    @pytest.mark.parametrize("kappa, iterations", [(0.0, 8), (-4.0, 8), (math.inf, 8),
+                                                   (40.0, 0), (40.0, math.nan)])
+    def test_fit_names_a_bad_sample(self, kappa, iterations):
+        # log(0) once warned and linprog then refused "b_eq must not contain values inf, nan"
+        kappas, counts = [10.0 * k for k in range(1, 11)], list(range(5, 15))
+        kappas[3], counts[3] = kappa, iterations
+        message = (f"^sample 3: kappa {float(kappa)} and iteration count {float(iterations)} "
+                   "must both be finite and positive$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                cli.fit_scaling_exponent(kappas, counts)
+
     def test_reference_column_present(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["scaling", "--count", "4", "--dim-max", "8", "--seed", "1",

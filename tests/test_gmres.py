@@ -378,7 +378,7 @@ class TestAdmmGmres:
         # kappa 1.9e6 at beta = 1e4 ell: the first Krylov run on the 4 x 4
         # kernel system ends at 1e-3 of the start, far above the threshold;
         # cycles started from the fresh residual r - M u meet it (seen: on
-        # the third left, the second right), and the trace records every run
+        # the second, either side), and the trace records every run
         p = seeded_problem(19, 4, 4, 1.593341373592157, 2649730957)
         beta = 1818917.2179890736
         trace = admm_gmres_solve(p, beta, side)

@@ -207,7 +207,7 @@ def test_short_solve_follows_the_step_oracle(case, k):
 @PROPERTY
 @given(cases(span=1e2))
 def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
-    # CU = (I + Kt F) / 2 is orthogonally similar to (I + K) / 2, so its
+    # CU = (I + J K J) / 2 is orthogonally similar to (I + K) / 2, so its
     # eigenvalues match those of K one to one within Bauer-Fike's
     # cond(X) ||E||.  K is the reference built from the eigenpairs of
     # A D^{-1} A', apart from CU.  CU is formed through the factor of
@@ -227,7 +227,7 @@ def test_kernel_sweep_has_the_spectrum_of_the_papers_operator(case):
 def test_kernel_estimate_is_the_fresh_residual_of_its_iterate(case):
     # for any t the residual image N (CU - I) t + N c has the norm of
     # r - M u(t), where u(t) is one admm_step from the start moved
-    # by [0; U t + b_zy]; slack as in the step-oracle test at extreme
+    # by [0; lift(t) + b_zy]; slack as in the step-oracle test at extreme
     # penalties
     problem, beta, rng = case
     engine = make_engine(problem, beta)

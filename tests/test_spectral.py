@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import admmgmres.spectral as spectral
 from admmgmres.admm import admm_solve, admm_step, make_engine
@@ -23,7 +24,7 @@ from admmgmres.spectral import (
     eigvec_condition,
 )
 from conftest import KERNEL_FIELDS, extremes_problem, random_dims, seeded_problem, spy_formed
-from oracles import reference_spectrum, schur_pieces
+from oracles import reference_kernel, reference_spectrum, schur_pieces
 
 
 def complex_disk_radius(K, nz, grid_step=1e-3, refine_iters=60):
@@ -197,7 +198,27 @@ class TestKernel:
         formed = spy_formed(monkeypatch, "N")
         classify_and_verify(problem42, 1.3)
         assert len(engines) == 1 and formed == []
-        assert vars(engines[0]).keys() & KERNEL_FIELDS == {"Qt", "T", "CU"}
+        assert vars(engines[0]).keys() & KERNEL_FIELDS == {"T", "CU"}
+
+    @pytest.mark.parametrize("where", ["3 ell", "sqrt(m ell)"])
+    def test_frame_of_an_ill_conditioned_b(self, where):
+        # kappa(B) = 7.9e5: a Cholesky-QR frame Q' = L_B^{-1} B' lost
+        # orthogonality like kappa(B)^2 eps, which put J K 4e-6 (relative)
+        # off symmetric and eig(CU) 3e-6 off (1 + eig K_ref) / 2
+        p = seeded_problem(40, 30, 12, 0.3, 7)
+        U, _, Vt = np.linalg.svd(p.B, full_matrices=False)
+        p = SaddleProblem(p.A, (U * np.logspace(0.0, -5.9, p.nz)) @ Vt, p.D, p.r_x, p.r_z, p.r_y)
+        m, ell, _ = dtilde_extremes(p)
+        beta = 3.0 * ell if where == "3 ell" else math.sqrt(m * ell)
+        K = build_k_matrix(p, beta).K
+        JK = K * np.where(np.arange(p.ny) < p.nz, 1.0, -1.0)[:, None]
+        assert np.linalg.norm(JK - JK.T) <= 1e-15 * np.linalg.norm(K)
+        ref = np.linalg.eigvals(reference_kernel(p, beta))
+        for eigs, want in ((np.linalg.eigvals(K), ref),
+                           (np.linalg.eigvals(make_engine(p, beta).CU), (1.0 + ref) / 2.0)):
+            gap = np.abs(eigs[:, None] - want[None, :])
+            rows, cols = linear_sum_assignment(gap)
+            assert np.max(gap[rows, cols]) <= 1e-12
 
     def test_blocks_match_structure(self):
         p = seeded_problem(6, 4, 2, 0.5, 42)
@@ -389,6 +410,15 @@ class TestConditioningFactors:
                 ev = np.linalg.eigvals(build_iteration_matrix(p, beta))
                 floor = (gamma - kappa) / (gamma + kappa)
                 assert np.max(np.abs(ev)) >= floor - 1e-8
+
+    def test_eigvec_condition_sends_a_k_that_is_not_j_symmetric_to_eig(self):
+        # sym(J K) is definite here, but J K is not symmetric, so W^{-1} V
+        # holds no eigenvectors of K; it once gave 1.4233
+        noise = np.random.default_rng(0).standard_normal((4, 4))
+        K = np.diag([2.0, 1.5, -1.0, -2.0]) + 0.3 * noise
+        kappa_x = eigvec_condition(K, 2)
+        assert kappa_x == eigvec_condition(K) == reference_spectrum(K, 2)[2]
+        assert kappa_x == pytest.approx(1.7583, abs=1e-4)
 
     def test_eigvec_condition_none_for_defective(self):
         K = np.array([[0.5, 1.0], [0.0, 0.5]])  # Jordan block, not diagonalizable
