@@ -23,10 +23,15 @@ __all__ = [
 ]
 
 # Sweeps per block of admm_solve.  One matmul by N' gives a block's residual
-# estimates, and a run that stops inside a block has paid for the rest of it.
-# On the first 12 ADMM solves of the benchmark's `large` workload (dimension
-# 390; one BLAS thread, OpenBLAS 0.3.31, 2-core Xeon; fastest of 5) blocks of
-# 8, 16 and 32 took 123, 107 and 101 ms, against 172 ms sweep by sweep.
+# estimates, and a run that stops inside a block has paid for the rest of it;
+# past its first 2 ny sweeps a run fills a block by one gemm with CU^_BLOCK.
+# On the 26 ADMM solves at 100x the balanced penalty of the benchmark's
+# `large` workload (dimension 390, 1402 to 4177 sweeps; one BLAS thread,
+# OpenBLAS 0.3.31, 2-core Xeon; fastest of 6, seeds 1234 and 99) blocks of 32
+# took a median 6.20 and 6.71 ms per solve against 7.24 and 7.60 for 16, but
+# at the balanced penalty (30 to 63 sweeps) 2.62 and 2.64 ms against 2.53 and
+# 2.57: a short run pays for the rest of a longer block, and those runs sit
+# at the workload's median op time.
 _BLOCK = 16
 
 # Inner runs per solve, the first included: each later one is a correction
@@ -102,6 +107,18 @@ class _Run:
         self._append(res)
         self.solution = None
         return res <= self.threshold
+
+    def extend(self, res):
+        """Record the array of estimates ``res`` as :meth:`add` does, in order, up to the first
+        that meets the threshold; return its index, or None if none does."""
+        stop = np.flatnonzero(~np.isfinite(res) | (res <= self.threshold))
+        j = stop[0] if len(stop) else len(res)
+        self.residuals.extend(res[:j].tolist())
+        self.solution = None
+        if j == len(res):
+            return None
+        self._append(float(res[j]))  # raises on a non-finite estimate
+        return j
 
     def _append(self, res):
         """Append ``res`` to the history, raising on a non-finite value."""
@@ -191,9 +208,19 @@ def _sweep_blocks(run, engine, c, iterate):
     The loop carries the differences d_k = t_k - t_{k-1} instead of t:
     d_1 = c and d_{k+1} = CU d_k, which cannot grow since ||CU|| <= 1.
     Iterate k + 1 records the estimate ||N d_k||, the norm of r - M u_{k+1}.
-    Sweeps run in blocks of up to ``_BLOCK``: one ny x ny gemv per sweep
-    fills the block's differences, one matmul by N' gives all their
-    residual images, and the block's entries are recorded in order.
+    Sweeps run in blocks of up to ``_BLOCK``: one matmul by N' gives all of
+    a block's residual images, and one record call takes its entries in
+    order.  For the run's first 2 ny sweeps or so one ny x ny gemv per
+    sweep fills a block's differences.  The run then forms the power
+    CU^_BLOCK once, by repeated squaring, and fills each next block from
+    the last with one gemm, D <- D (CU^_BLOCK)'.  The squarings cost as
+    much as 0.4 to 1.1 ny gemvs (ny = 20 to 700, one BLAS thread), which
+    the cheaper blocks repay within 0.5 to 1.5 ny further sweeps: waiting
+    for 2 ny sweeps keeps that stake a fraction of any run that forms the
+    power, and a run that ends before the switch keeps the bits of the
+    gemv chain.  The power rounds apart from the chain: over 31 runs of
+    1402 to 5049 sweeps the estimates stayed within 2.7e-12 relative of an
+    80-bit chain (the gemv chain within 3.0e-13).
 
     The run ends at the cap or at the first estimate that meets the
     threshold, confirmed or not.  The estimate is a recursively computed
@@ -204,27 +231,35 @@ def _sweep_blocks(run, engine, c, iterate):
     confirmed iterate starts again from its fresh residual.
     """
     # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
-    # column-major CU took 4.0 us against 5.1, and the block's matmul by
-    # a row-major N' 24 us against 44 for the view N.T
+    # column-major CU took 4.0 us against 5.1, the block's matmul by a
+    # row-major N' 24 us against 44 for the view N.T, and a block's product
+    # with a row-major (CU')^16 12 us against 23 for the view (CU^16)'
     CU = np.asfortranarray(engine.CU)
     NT = np.ascontiguousarray(engine.N.T)
     D = np.empty((_BLOCK, len(c)))  # D[j] = d_{k+j} for a block from iterate k + 1
     D[0] = c  # d_1
     t = np.zeros(len(c))  # t_{k-1}, read by the block's first sweep
+    power, start = None, run.iterations  # (CU')^_BLOCK once formed
     while True:
         p = min(_BLOCK, run.max_iter - run.iterations)
-        for j in range(p - 1):
-            np.dot(CU, D[j], out=D[j + 1])
+        if power is None:
+            for j in range(p - 1):
+                np.dot(CU, D[j], out=D[j + 1])
         E = D[:p] @ NT
-        for j, res in enumerate(np.sqrt(np.einsum("ij,ij->i", E, E)).tolist()):
-            if run.add(res):  # confirmed only now, and the end of the run either way
-                t += D[:j].sum(0)
-                run.confirm(iterate(t))
-                return t
+        j = run.extend(np.sqrt(np.einsum("ij,ij->i", E, E)))
+        if j is not None:  # confirmed only now, and the end of the run either way
+            t += D[:j].sum(0)
+            run.confirm(iterate(t))
+            return t
         if run.iterations == run.max_iter:
             return t + D[: p - 1].sum(0)
         t += D[:p].sum(0)
-        np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full
+        if power is None and run.iterations - start >= 2 * len(c):
+            power = np.linalg.matrix_power(CU.T, _BLOCK)
+        if power is None:
+            np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full
+        else:
+            D = D @ power
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
@@ -236,6 +271,8 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     Douglas-Rachford splitting on the dual (Gabay 1983; Eckstein & Bertsekas
     1992), so after the start of :func:`_kernel_solve` the sweeps run on one
     ny-vector, the kernel coordinate of :class:`AdmmEngine`, in blocks
-    (:func:`_sweep_blocks`).
+    (:func:`_sweep_blocks`): one gemv per sweep at first, and one gemm by
+    CU^16 per block of 16 sweeps once a run has swept about 2 ny times, as
+    runs far from the balanced penalty do.
     """
     return _kernel_solve(engine, u0, epsilon, max_iter, "admm", _sweep_blocks)

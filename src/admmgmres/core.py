@@ -46,9 +46,12 @@ def check_beta(beta):
     """Return the penalty as a float; raise unless beta and 1/beta are finite and positive.
 
     P(beta) holds -(1/beta) I, so a penalty below 1/DBL_MAX is refused here
-    rather than as an overflow deep inside a solve.
+    rather than as an overflow deep inside a solve.  A bool is refused too,
+    not read as 0 or 1.
     """
     try:
+        if isinstance(beta, (bool, np.bool_)):  # float(True) would factor at beta = 1
+            raise TypeError
         beta = float(beta)
     except (TypeError, ValueError):
         raise ValueError(f"beta must be a number, got {beta!r}") from None
@@ -65,8 +68,9 @@ def check_epsilon(epsilon):
 
 
 def check_max_iter(max_iter):
-    """Return ``max_iter``; raise unless it is an integer of at least 1."""
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+    """Return ``max_iter``; raise unless it is an integer of at least 1 and not a bool."""
+    if not (isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
+            and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     return max_iter
 

@@ -5,8 +5,10 @@ reference for the closed-form c1 of a spectral report; :func:`reference_kernel`
 builds K(beta) from the eigenpairs of A D^{-1} A' and the QR factors of B,
 apart from the sweep the package reads K from; :func:`reference_spectrum`
 reads K's spectrum, norm and eigenvector conditioning off the dense
-nonsymmetric eigensolver, apart from the symmetric route of a report; the
-two witness polynomials attain the min-max bounds of :mod:`admmgmres.bounds`.
+nonsymmetric eigensolver, apart from the symmetric route of a report;
+:func:`gemv_sweeps` runs ADMM's inner run one gemv per sweep, apart from the
+blocked sweeps of :func:`admmgmres.admm._sweep_blocks`; the two witness
+polynomials attain the min-max bounds of :mod:`admmgmres.bounds`.
 """
 
 from dataclasses import dataclass
@@ -96,6 +98,23 @@ def reference_spectrum(K, nz):
             break
     finite = [c for c in candidates if np.isfinite(c) and c <= 1e12]
     return eigs, float(np.linalg.norm(K, 2)), min(finite) if finite else None
+
+
+def gemv_sweeps(run, engine, c, iterate):
+    """ADMM's inner run sweep by sweep: pass it to ``admm._kernel_solve`` as ``inner``.
+
+    One gemv d_{k+1} = CU d_k per sweep from d_1 = c, one ``run.add`` of the
+    estimate ||N d_k|| of iterate k + 1, and t_{k-1} = d_1 + ... + d_{k-1}
+    summed as it goes.  The run ends where the blocked run must: at the cap,
+    or at the first estimate that meets the threshold, confirmed.
+    """
+    d, t = c, np.zeros(len(c))  # d_k and t_{k-1}, from k = 1
+    while not run.add(float(np.linalg.norm(engine.N @ d))):
+        if run.iterations == run.max_iter:
+            return t
+        t, d = t + d, engine.CU @ d
+    run.confirm(iterate(t))
+    return t
 
 
 def schur_pieces(problem, beta):

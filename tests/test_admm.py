@@ -24,7 +24,7 @@ from admmgmres.spectral import (
 )
 from conftest import (KERNEL_FIELDS, count_calls, extremes_problem, random_dims, seeded_problem,
                       spy_formed)
-from oracles import schur_pieces
+from oracles import gemv_sweeps, schur_pieces
 
 TOL = 1e3 * np.finfo(float).eps
 
@@ -110,6 +110,11 @@ class TestEngine:
             # 1e-310 is positive, but P(beta) holds -(1/beta) I and 1/beta overflows
             for beta in (0.0, -2.0, math.inf, math.nan, 1e-310):
                 with pytest.raises(ValueError, match="beta"):
+                    entry(problem42, beta)
+            # float(True) is 1.0: a JSON or keyword slip must not factor at beta = 1
+            for beta in (True, np.True_):
+                message = rf"^beta must be a number, got {re.escape(repr(beta))}$"
+                with pytest.raises(ValueError, match=message):
                     entry(problem42, beta)
 
 
@@ -231,7 +236,8 @@ class TestSolve:
         # or converged run ends on as many factored sweeps as it records,
         # from a start whose x block is not zero.  Sweeps run in blocks from
         # iterate 2 on, so the caps end a run before, on and after the end
-        # of a block; the converged run (58 sweeps) stops inside one.
+        # of a block; the converged run (58 sweeps) stops inside one.  The
+        # power fills the blocks from iterate 18 on (TestPowerPhase).
         engine = make_engine(problem42, 0.7)
         u0 = np.random.default_rng(4).standard_normal(problem42.dim)
         trace = admm_solve(engine, u0=u0, max_iter=max_iter)
@@ -444,9 +450,11 @@ class TestSolve:
         eng = make_engine(problem42, 1.0)
         with pytest.raises(ValueError, match="epsilon"):
             admm_solve(eng, epsilon=1.5)
-        # None once crashed with a TypeError mid-loop and 2.5 ran 3 sweeps
-        for bad in (0, None, 2.5):
-            with pytest.raises(ValueError, match="max_iter"):
+        # None once crashed with a TypeError mid-loop, 2.5 ran 3 sweeps and
+        # True, an int to isinstance, ran one
+        for bad in (0, None, 2.5, True):
+            message = rf"^max_iter must be an integer of at least 1, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
                 admm_solve(eng, epsilon=1e-6, max_iter=bad)
 
     def test_non_finite_iterate_raises(self, problem42):
@@ -465,6 +473,97 @@ class TestSolve:
         for k in range(3):
             assert trace.residuals[k] == pytest.approx(kkt_residual(problem42, u), rel=1e-12)
             u = admm_step(eng, u)
+
+
+def power_spy(monkeypatch):
+    """Spy on ``np.linalg.matrix_power``; return the exponents it was called with."""
+    calls, original = [], np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, n: calls.append(n) or original(a, n))
+    return calls
+
+
+def first_power_iterate(ny):
+    """The first iterate of a solve's first run that a block filled by CU^_BLOCK records.
+
+    The run's blocks start at iterates 2, 2 + _BLOCK, ..., and the first
+    block after 2 ny sweeps is the first filled by the power.
+    """
+    return 2 + admm._BLOCK * math.ceil(2 * ny / admm._BLOCK)
+
+
+class TestPowerPhase:
+    """Past 2 ny sweeps a run fills each block by one product with CU^_BLOCK."""
+
+    def test_long_run_follows_the_gemv_chain(self, monkeypatch):
+        # 2963 sweeps, 44 times the switch: the count, the flag and every
+        # estimate of the one-gemv-per-sweep reference hold (seen: 2.9e-12
+        # relative; the solutions 1.5e-13 apart)
+        problem = seeded_problem(40, 30, 12, 1.0, 0)
+        m, ell, _ = dtilde_extremes(problem)
+        engine = make_engine(problem, 100 * math.sqrt(m * ell))
+        powers = power_spy(monkeypatch)
+        trace = admm_solve(engine)
+        ref = admm._kernel_solve(engine, None, 1e-6, 100_000, "admm", gemv_sweeps)
+        assert powers == [admm._BLOCK]
+        assert (trace.iterations, trace.converged) == (ref.iterations, ref.converged)
+        assert (ref.iterations, ref.converged) == (2963, True)
+        assert trace.iterations > 40 * first_power_iterate(problem.ny)
+        np.testing.assert_allclose(trace.residuals[:-1], ref.residuals[:-1], rtol=1e-10, atol=0)
+        assert np.linalg.norm(trace.solution - ref.solution) <= 1e-10 * np.linalg.norm(ref.solution)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, admm._BLOCK + 5])
+    def test_capped_run_ends_on_its_last_sweep_across_the_switch(self, monkeypatch, offset):
+        # caps one before, at and one after the first iterate a power fills
+        # (after two gemv blocks here), and inside the second block it
+        # fills; the check is that of test_run_ends_on_its_last_sweep, and
+        # the power is formed only once a run reaches the switch
+        problem = seeded_problem(14, 12, 5, 1.0, 3)
+        m, ell, _ = dtilde_extremes(problem)
+        engine = make_engine(problem, 100 * math.sqrt(m * ell))
+        switch = first_power_iterate(problem.ny)
+        assert switch == 2 + 2 * admm._BLOCK
+        powers = power_spy(monkeypatch)
+        u0 = np.random.default_rng(6).standard_normal(problem.dim)
+        trace = admm_solve(engine, u0=u0, max_iter=switch + offset)
+        assert powers == ([admm._BLOCK] if offset >= 0 else [])
+        assert not trace.converged and trace.iterations == switch + offset
+        iterates = [u0]
+        for _ in range(trace.iterations):
+            iterates.append(admm_step(engine, iterates[-1]))
+        bound = TOL * np.linalg.cond(assemble_precond(engine), 2)
+        scale = max(map(np.linalg.norm, iterates))
+        assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * scale
+
+    def test_short_run_forms_no_power(self, monkeypatch):
+        # a run that converges before the switch sweeps one gemv at a time
+        problem = seeded_problem(14, 12, 5, 0.3, 3)
+        m, ell, _ = dtilde_extremes(problem)
+        powers = power_spy(monkeypatch)
+        trace = admm_solve(make_engine(problem, math.sqrt(m * ell)))
+        assert trace.converged and trace.iterations < first_power_iterate(problem.ny)
+        assert powers == []
+
+    def test_non_finite_estimate_inside_a_power_block_names_its_iteration(self, problem42,
+                                                                          monkeypatch):
+        # as in the gemv blocks: a CU scaled by 1e7 overflows the estimate
+        # of iterate k, here inside the first block the power fills, and
+        # the record raises there with the message of a single entry
+        engine = make_engine(problem42, 1.0)
+        N = engine.N
+        engine.CU = 1e7 * engine.CU
+        d, k = engine.offset(apply_inverse(engine, problem42.rhs())), 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            while math.isfinite(math.sqrt((N @ d) @ (N @ d))):
+                d, k = engine.CU @ d, k + 1
+            switch = first_power_iterate(problem42.ny)
+            assert switch < k < switch + admm._BLOCK
+            powers = power_spy(monkeypatch)
+            with pytest.raises(NumericalError, match=(
+                rf"^admm at beta=1.0: non-finite KKT residual at iteration {k}; "
+                rf"last finite iteration was {k - 1} with residual ")):
+                admm_solve(engine)
+        assert powers == [admm._BLOCK]
 
 
 # the 19/4/4 problem of the GMRES correction-cycle test: each side needs two runs
