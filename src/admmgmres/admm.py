@@ -22,16 +22,15 @@ __all__ = [
     "admm_solve",
 ]
 
-# Sweeps per block of admm_solve.  One matmul by N' gives a block's residual
-# estimates, and a run that stops inside a block has paid for the rest of it;
-# past its first 2 ny sweeps a run fills a block by one gemm with CU^_BLOCK.
-# On the 26 ADMM solves at 100x the balanced penalty of the benchmark's
-# `large` workload (dimension 390, 1402 to 4177 sweeps; one BLAS thread,
-# OpenBLAS 0.3.31, 2-core Xeon; fastest of 6, seeds 1234 and 99) blocks of 32
-# took a median 6.20 and 6.71 ms per solve against 7.24 and 7.60 for 16, but
-# at the balanced penalty (30 to 63 sweeps) 2.62 and 2.64 ms against 2.53 and
-# 2.57: a short run pays for the rest of a longer block, and those runs sit
-# at the workload's median op time.
+# Sweeps per gemv block of admm_solve; its power blocks hold twice as many.
+# A run that stops inside a block has paid for the rest of it, so the gemv
+# blocks, where short runs end, stay at 16: at the balanced penalty of the
+# benchmark's `large` workload (dimension 390, 30 to 63 sweeps; one BLAS
+# thread, OpenBLAS 0.3.31, 2-core Xeon) blocks of 32 took 2.62 and 2.64 ms
+# per solve against 2.53 and 2.57 for 16.  Past the switch, 2048 sweeps at
+# ny = 140 took 1.5 us each in blocks of 32 against 1.8 in blocks of 16: one
+# (32 x ny)(ny x ny) gemm took about 20 us against 2 x 11 for two of 16
+# rows, and a block's norms, record call and sum come once per 32 sweeps.
 _BLOCK = 16
 
 # Inner runs per solve, the first included: each later one is a correction
@@ -92,7 +91,7 @@ class _Run:
         self.s0 = self.fresh = self.r - kkt_matvec(problem, self.u0)
         self.residuals, self.solution = [], self.u0
         self._append(math.sqrt(self.s0 @ self.s0))
-        self.threshold = epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
+        self.threshold = self.epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
 
     @property
     def iterations(self):
@@ -207,20 +206,24 @@ def _sweep_blocks(run, engine, c, iterate):
 
     The loop carries the differences d_k = t_k - t_{k-1} instead of t:
     d_1 = c and d_{k+1} = CU d_k, which cannot grow since ||CU|| <= 1.
-    Iterate k + 1 records the estimate ||N d_k||, the norm of r - M u_{k+1}.
-    Sweeps run in blocks of up to ``_BLOCK``: one matmul by N' gives all of
-    a block's residual images, and one record call takes its entries in
-    order.  For the run's first 2 ny sweeps or so one ny x ny gemv per
-    sweep fills a block's differences.  The run then forms the power
-    CU^_BLOCK once, by repeated squaring, and fills each next block from
-    the last with one gemm, D <- D (CU^_BLOCK)'.  The squarings cost as
-    much as 0.4 to 1.1 ny gemvs (ny = 20 to 700, one BLAS thread), which
-    the cheaper blocks repay within 0.5 to 1.5 ny further sweeps: waiting
-    for 2 ny sweeps keeps that stake a fraction of any run that forms the
-    power, and a run that ends before the switch keeps the bits of the
-    gemv chain.  The power rounds apart from the chain: over 31 runs of
-    1402 to 5049 sweeps the estimates stayed within 2.7e-12 relative of an
-    80-bit chain (the gemv chain within 3.0e-13).
+    Iterate k + 1 records the estimate ||N d_k||, the norm of r - M u_{k+1},
+    read as ||beta R_a d_Q||^2 + ||d_P||^2 through the nz x nz block of N
+    (about 8 times fewer flops than N d at (nz, ny) = (50, 140)).  Sweeps
+    run in blocks: one product with (beta R_a)' gives all of a block's
+    residual images, and one record call takes its entries in order.  For
+    the run's first ny sweeps or so one ny x ny gemv per sweep fills a
+    block of ``_BLOCK`` differences.  The run then forms P = (CU')^_BLOCK
+    once, by repeated squaring, fills the next block as [D P; D P^2], and
+    each later one from the last as D <- D P^2, one gemm per 2 _BLOCK
+    sweeps.  The five squarings cost as much as 0.3 to 1.2 ny gemv sweeps
+    (ny = 20 to 700, one BLAS thread), and the cheaper blocks repay them
+    within 0.5 to 2.3 ny further sweeps.  Switching once the gemv sweeps
+    have cost about as much as the power is the rent-or-buy rule: a run of
+    any length pays at most about twice what the better of the two routes
+    would have cost it, and a run that ends before the switch sweeps by
+    gemvs alone.  The power rounds apart from the chain: over 31 runs
+    of 1400 to 5047 sweeps the estimates stayed within 3.2e-12 relative of
+    an 80-bit chain (the gemv chain within 1.9e-13).
 
     The run ends at the cap or at the first estimate that meets the
     threshold, confirmed or not.  The estimate is a recursively computed
@@ -231,22 +234,24 @@ def _sweep_blocks(run, engine, c, iterate):
     confirmed iterate starts again from its fresh residual.
     """
     # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
-    # column-major CU took 4.0 us against 5.1, the block's matmul by a
-    # row-major N' 24 us against 44 for the view N.T, and a block's product
-    # with a row-major (CU')^16 12 us against 23 for the view (CU^16)'
+    # column-major CU took 4.0 us against 5.1, and a block's product with a
+    # row-major (CU')^16 12 us against 23 for the view (CU^16)'
     CU = np.asfortranarray(engine.CU)
-    NT = np.ascontiguousarray(engine.N.T)
+    nz = engine.problem.nz
+    RT = np.ascontiguousarray(engine.N[:nz, :nz].T)  # (beta R_a)'
     D = np.empty((_BLOCK, len(c)))  # D[j] = d_{k+j} for a block from iterate k + 1
     D[0] = c  # d_1
+    E = np.empty((2 * _BLOCK, len(c)))  # E[j] = N d_{k+j}
     t = np.zeros(len(c))  # t_{k-1}, read by the block's first sweep
-    power, start = None, run.iterations  # (CU')^_BLOCK once formed
+    power, start = None, run.iterations  # (CU')^(2 _BLOCK) once formed
     while True:
-        p = min(_BLOCK, run.max_iter - run.iterations)
+        p = min(len(D), run.max_iter - run.iterations)
         if power is None:
             for j in range(p - 1):
                 np.dot(CU, D[j], out=D[j + 1])
-        E = D[:p] @ NT
-        j = run.extend(np.sqrt(np.einsum("ij,ij->i", E, E)))
+        np.matmul(D[:p, :nz], RT, out=E[:p, :nz])
+        E[:p, nz:] = D[:p, nz:]
+        j = run.extend(np.sqrt(np.einsum("ij,ij->i", E[:p], E[:p])))
         if j is not None:  # confirmed only now, and the end of the run either way
             t += D[:j].sum(0)
             run.confirm(iterate(t))
@@ -254,12 +259,15 @@ def _sweep_blocks(run, engine, c, iterate):
         if run.iterations == run.max_iter:
             return t + D[: p - 1].sum(0)
         t += D[:p].sum(0)
-        if power is None and run.iterations - start >= 2 * len(c):
-            power = np.linalg.matrix_power(CU.T, _BLOCK)
-        if power is None:
-            np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full
-        else:
+        if power is not None:
             D = D @ power
+        elif run.iterations - start >= len(c):
+            power = np.linalg.matrix_power(CU.T, _BLOCK)
+            D = D @ power
+            D = np.vstack((D, D @ power))
+            power = power @ power
+        else:
+            np.dot(CU, D[p - 1], out=D[0])  # a block that is not the last is full
 
 
 def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
@@ -272,7 +280,7 @@ def admm_solve(engine, u0=None, epsilon=1e-6, max_iter=100_000):
     1992), so after the start of :func:`_kernel_solve` the sweeps run on one
     ny-vector, the kernel coordinate of :class:`AdmmEngine`, in blocks
     (:func:`_sweep_blocks`): one gemv per sweep at first, and one gemm by
-    CU^16 per block of 16 sweeps once a run has swept about 2 ny times, as
+    CU^32 per block of 32 sweeps once a run has swept about ny times, as
     runs far from the balanced penalty do.
     """
     return _kernel_solve(engine, u0, epsilon, max_iter, "admm", _sweep_blocks)

@@ -220,7 +220,7 @@ def theorem_curve(kind, k_max, beta, m, ell, factors, epsilon):
     flat marker):
         2 + ceil((sqrt(kappa)+1) * log(c1 kappa_M / epsilon))
     """
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     if k_max < 0:
         raise ValueError(f"k_max must be at least 0, got {k_max}")
     c1, kappa_p, kappa_x, kappa_m = factors

@@ -61,10 +61,16 @@ def check_beta(beta):
 
 
 def check_epsilon(epsilon):
-    """Return the tolerance ``epsilon``; raise unless it lies in (0, 1)."""
+    """Return the tolerance as a float; raise unless it is a real number in (0, 1).
+
+    A bool, a string, a complex value or an array is refused too, not
+    compared (a bare TypeError) or carried into a trace.
+    """
+    if not isinstance(epsilon, numbers.Real) or isinstance(epsilon, bool):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return epsilon
+    return float(epsilon)
 
 
 def check_max_iter(max_iter):

@@ -113,7 +113,9 @@ class AdmmEngine:
     J = blkdiag(I_nz, -I).  P - M is zero in the x columns, so
     r - M u_{k+1} = (P - M)[0; U F (t_k - t_{k-1})] has the norm
     ||N (t_k - t_{k-1})|| for N = blkdiag(beta R_a, I), R_a the nz x nz
-    factor of a QR of A'Q.
+    factor of a QR of A'Q: for d = [d_Q; d_P], split as F = [Q P],
+    ||N d||^2 = ||beta R_a d_Q||^2 + ||d_P||^2, so ADMM reads its residual
+    norms through the leading nz x nz block of N alone.
 
     ``T`` (T_F), ``CU`` and ``N`` are formed on first read and kept
     read-only, so a solve that ends at iterate 1 forms none of them and

@@ -457,6 +457,23 @@ class TestSolve:
             with pytest.raises(ValueError, match=message):
                 admm_solve(eng, epsilon=1e-6, max_iter=bad)
 
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    @pytest.mark.parametrize("bad", ["1e-6", None, 1e-6 + 0j, np.array([1e-6]), True, np.True_],
+                             ids=["str", "None", "complex", "array", "True", "np.True_"])
+    def test_rejects_an_epsilon_that_is_not_a_real_number(self, problem42, method, bad):
+        # the first three once raised a bare TypeError from the comparison,
+        # the array passed and became the trace's epsilon, and the bools
+        # were read as 1
+        message = rf"^epsilon must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            solve_from(problem42, method, None, epsilon=bad)
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    def test_epsilon_is_kept_as_a_float(self, problem42, method):
+        trace = solve_from(problem42, method, None, epsilon=np.float32(1e-6))
+        assert type(trace.epsilon) is float and trace.epsilon == float(np.float32(1e-6))
+        assert trace.converged
+
     def test_non_finite_iterate_raises(self, problem42):
         # at beta = 1e-200 the first sweep overflows; the trace must not end in inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -484,45 +501,62 @@ def power_spy(monkeypatch):
 
 
 def first_power_iterate(ny):
-    """The first iterate of a solve's first run that a block filled by CU^_BLOCK records.
+    """The first iterate of a solve's first run that a block filled by a power of CU records.
 
-    The run's blocks start at iterates 2, 2 + _BLOCK, ..., and the first
-    block after 2 ny sweeps is the first filled by the power.
+    The run's gemv blocks start at iterates 2, 2 + _BLOCK, ..., and the
+    first block after ny sweeps is the first filled by the power.
     """
-    return 2 + admm._BLOCK * math.ceil(2 * ny / admm._BLOCK)
+    return 2 + admm._BLOCK * math.ceil(ny / admm._BLOCK)
 
 
 class TestPowerPhase:
-    """Past 2 ny sweeps a run fills each block by one product with CU^_BLOCK."""
+    """Past ny sweeps a run fills each block of 2 _BLOCK rows by one product with CU^(2 _BLOCK)."""
 
-    def test_long_run_follows_the_gemv_chain(self, monkeypatch):
-        # 2963 sweeps, 44 times the switch: the count, the flag and every
-        # estimate of the one-gemv-per-sweep reference hold (seen: 2.9e-12
-        # relative; the solutions 1.5e-13 apart)
-        problem = seeded_problem(40, 30, 12, 1.0, 0)
+    @staticmethod
+    def assert_follows_the_gemv_chain(monkeypatch, dims, factor, sweeps):
+        # the count, the flag and every estimate of the one-gemv-per-sweep
+        # reference, which reads the norms off the dense N, over 60 times the
+        # switch
+        problem = seeded_problem(*dims)
         m, ell, _ = dtilde_extremes(problem)
-        engine = make_engine(problem, 100 * math.sqrt(m * ell))
+        engine = make_engine(problem, factor * math.sqrt(m * ell))
         powers = power_spy(monkeypatch)
         trace = admm_solve(engine)
         ref = admm._kernel_solve(engine, None, 1e-6, 100_000, "admm", gemv_sweeps)
         assert powers == [admm._BLOCK]
         assert (trace.iterations, trace.converged) == (ref.iterations, ref.converged)
-        assert (ref.iterations, ref.converged) == (2963, True)
-        assert trace.iterations > 40 * first_power_iterate(problem.ny)
+        assert (ref.iterations, ref.converged) == (sweeps, True)
+        assert trace.iterations > 60 * first_power_iterate(problem.ny)
         np.testing.assert_allclose(trace.residuals[:-1], ref.residuals[:-1], rtol=1e-10, atol=0)
         assert np.linalg.norm(trace.solution - ref.solution) <= 1e-10 * np.linalg.norm(ref.solution)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1, admm._BLOCK + 5])
+    def test_long_run_follows_the_gemv_chain(self, monkeypatch):
+        # 2963 sweeps, 87 times the switch (seen: 3.4e-12 relative; the
+        # solutions 1.0e-13 apart)
+        self.assert_follows_the_gemv_chain(monkeypatch, (40, 30, 12, 1.0, 0), 100, 2963)
+
+    @pytest.mark.parametrize("dims, factor, sweeps", [
+        ((20, 12, 12, 1.0, 0), 10, 2193),  # nz = ny: no d_P columns
+        ((30, 20, 1, 1.0, 1), 1000, 6089),  # nz = 1: a 1 x 1 beta R_a
+    ], ids=["nz=ny", "nz=1"])
+    def test_long_run_at_edge_shapes_follows_the_gemv_chain(self, monkeypatch, dims, factor,
+                                                            sweeps):
+        # 122 and 179 times the switch (seen: 1.6e-14 and 8.3e-14 relative)
+        self.assert_follows_the_gemv_chain(monkeypatch, dims, factor, sweeps)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, admm._BLOCK + 5, 2 * admm._BLOCK - 1,
+                                        2 * admm._BLOCK + 5])
     def test_capped_run_ends_on_its_last_sweep_across_the_switch(self, monkeypatch, offset):
         # caps one before, at and one after the first iterate a power fills
-        # (after two gemv blocks here), and inside the second block it
-        # fills; the check is that of test_run_ends_on_its_last_sweep, and
-        # the power is formed only once a run reaches the switch
+        # (after one gemv block here), in the second half and on the last
+        # sweep of the first block it fills, and inside the second; the
+        # check is that of test_run_ends_on_its_last_sweep, and the power is
+        # formed only once a run reaches the switch
         problem = seeded_problem(14, 12, 5, 1.0, 3)
         m, ell, _ = dtilde_extremes(problem)
         engine = make_engine(problem, 100 * math.sqrt(m * ell))
         switch = first_power_iterate(problem.ny)
-        assert switch == 2 + 2 * admm._BLOCK
+        assert switch == 2 + admm._BLOCK
         powers = power_spy(monkeypatch)
         u0 = np.random.default_rng(6).standard_normal(problem.dim)
         trace = admm_solve(engine, u0=u0, max_iter=switch + offset)
@@ -536,12 +570,13 @@ class TestPowerPhase:
         assert np.linalg.norm(trace.solution - iterates[-1]) <= bound * scale
 
     def test_short_run_forms_no_power(self, monkeypatch):
-        # a run that converges before the switch sweeps one gemv at a time
-        problem = seeded_problem(14, 12, 5, 0.3, 3)
+        # a run that converges before the switch, past a full gemv block,
+        # sweeps one gemv at a time
+        problem = seeded_problem(24, 20, 8, 0.2, 1)
         m, ell, _ = dtilde_extremes(problem)
         powers = power_spy(monkeypatch)
         trace = admm_solve(make_engine(problem, math.sqrt(m * ell)))
-        assert trace.converged and trace.iterations < first_power_iterate(problem.ny)
+        assert trace.converged and 1 + admm._BLOCK < trace.iterations < first_power_iterate(problem.ny)
         assert powers == []
 
     def test_non_finite_estimate_inside_a_power_block_names_its_iteration(self, problem42,

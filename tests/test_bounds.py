@@ -278,6 +278,13 @@ class TestTheoremCurve:
         with pytest.raises(ValueError, match=name):
             theorem_curve("prop5", k_max, 1.0, 1.0, 1.0, (math.e, 1.0, 1.0, 1.0), epsilon)
 
+    @pytest.mark.parametrize("epsilon", ["1e-6", None, 1e-6 + 0j, np.array([1e-6]), True],
+                             ids=["str", "None", "complex", "array", "True"])
+    def test_rejects_an_epsilon_that_is_not_a_real_number(self, epsilon):
+        # the first four once raised a bare TypeError, and True was read as 1
+        with pytest.raises(ValueError, match="^epsilon must be a number, got "):
+            theorem_curve("prop5", 5, 1.0, 1.0, 1.0, (math.e, 1.0, 1.0, 1.0), epsilon)
+
     @pytest.mark.parametrize("kind, beta, factors, name", [
         ("prop5", 1.0, (math.inf, 1.0, 1.0, 1.0), "c1"),
         ("prop5", 1.0, (1.0, 1.0, 1.0, math.nan), "kappa_M"),
