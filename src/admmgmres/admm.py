@@ -46,16 +46,16 @@ class IterationTrace:
     starting with the initial point, so its length is ``iterations + 1``.
     Each solver reads the entry from a product it already forms, which
     equals the true residual up to roundoff (:func:`_kernel_solve` and its
-    inner runs tell how).  A fresh ||M u_k - r|| replaces it whenever it
-    meets the threshold and as the last entry, and only a fresh value stops
-    a run.  The threshold is ``epsilon`` times the larger of the initial
-    residual and ||r||: relative to the start, with a floor so that a warm
-    start at (or numerically at) the solution stops at once instead of
-    chasing roundoff; from zero both references coincide.  ``converged``
-    records that test on the last entry, and ``solution`` is the final
-    stacked iterate u_k, the one whose fresh residual is ``residuals[-1]``.
-    A non-finite residual raises :class:`NumericalError` naming the method
-    and beta.
+    inner runs tell how).  A run records estimates up to the first that
+    meets the threshold, if not before; a fresh ||M u_k - r|| then replaces
+    its last entry, and only a fresh value stops the solve.  The threshold
+    is ``epsilon`` times the larger of the initial residual and ||r||:
+    relative to the start, with a floor so that a warm start at (or
+    numerically at) the solution stops at once instead of chasing roundoff;
+    from zero both references coincide.  ``converged`` records that test on
+    the last entry, and ``solution`` is the final stacked iterate u_k, the
+    one whose fresh residual is ``residuals[-1]``.  A non-finite residual
+    raises :class:`NumericalError` naming the method and beta.
     """
 
     residuals: np.ndarray
@@ -76,8 +76,9 @@ def admm_step(engine, u):
 class _Run:
     """Checked start, residual record and end of one solve, kept for either solver.
 
-    ``u0`` is a stacked (dim,) vector, zeros by default, and is never
-    written to; ``s0 = r - M u0`` is its residual.  The record is the one
+    ``solution`` starts as the stacked (dim,) ``u0``, zeros by default, which
+    is never written to, and ``fresh = r - M u0`` is its residual; each
+    confirmation replaces both.  The record is the one
     :class:`IterationTrace` describes; at the start a non-finite residual
     must raise, since eps * max(inf, inf) would otherwise pass at once.
     """
@@ -86,11 +87,11 @@ class _Run:
         self.epsilon = check_epsilon(epsilon)
         self.max_iter = check_max_iter(max_iter)
         self.problem, self.method_tag, self.beta = problem, method_tag, beta
-        self.u0 = np.zeros(problem.dim) if u0 is None else u0
+        self.solution = np.zeros(problem.dim) if u0 is None else u0
         self.r = problem.rhs()
-        self.s0 = self.fresh = self.r - kkt_matvec(problem, self.u0)
-        self.residuals, self.solution = [], self.u0
-        self._append(math.sqrt(self.s0 @ self.s0))
+        self.fresh = self.r - kkt_matvec(problem, self.solution)
+        self.residuals = []
+        self._append(math.sqrt(self.fresh @ self.fresh))
         self.threshold = self.epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
 
     @property
@@ -102,9 +103,8 @@ class _Run:
         return bool(self.residuals[-1] <= self.threshold)
 
     def add(self, res):
-        """Record the estimate ``res``, with no solution; True once it meets the threshold."""
+        """Record the estimate ``res``; True once it meets the threshold."""
         self._append(res)
-        self.solution = None
         return res <= self.threshold
 
     def extend(self, res):
@@ -113,7 +113,6 @@ class _Run:
         stop = np.flatnonzero(~np.isfinite(res) | (res <= self.threshold))
         j = stop[0] if len(stop) else len(res)
         self.residuals.extend(res[:j].tolist())
-        self.solution = None
         if j == len(res):
             return None
         self._append(float(res[j]))  # raises on a non-finite estimate
@@ -159,19 +158,25 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
 
         r - M u_{k+1} = (P - M)(u_{k+1} - u_k) = [-beta A'B dz; 0; -dy / beta],
 
-    so iterate 1 records ||(P - M) b||.  Otherwise the kernel coordinate of
-    :class:`AdmmEngine` gives the recurrence t_k = CU t_{k-1} + c from
-    t_0 = 0, c = F' C b_zy, and ``inner(run, engine, c, iterate)`` records
-    the next iterates and returns the t of its last one (None if it recorded
-    none).  ``iterate(t)`` is the stacked iterate
-    u_0 + P^{-1} ((P - M)[0; U F t + b_zy] + s0) whose sweep read t, one more
-    P^{-1} formed only for a confirmation and at the end.
+    so iterate 1 records the estimate ||(P - M) b||.  Unless it meets the
+    threshold, the kernel coordinate of :class:`AdmmEngine` gives the
+    recurrence t_k = CU t_{k-1} + c from t_0 = 0, c = F' C b_zy, and
+    ``inner(run, engine, c)`` records estimates of the next iterates, up to
+    the first that meets the threshold or the cap, and returns the t of its
+    last one (None if it recorded none).
 
-    An inner run that ends above the threshold before ``max_iter`` (ADMM's
-    at a failed confirmation, GMRES's after ny steps) is followed by a
-    correction cycle from its last iterate u, with its fresh residual
-    r - M u in place of s0 and the same engine, up to ``_CYCLES`` runs in
-    all, so every method can cycle.  A :class:`NumericalError` is renamed
+    Only here is an estimate confirmed, by one rule for iterate 1 and every
+    run: the iterate behind the last entry, u_0 + b or else
+    u(t) = u_0 + P^{-1} ((P - M)[0; U F t + b_zy] + s0), whose sweep read t
+    (one more P^{-1}), gets one fresh residual r - M u in place of its
+    estimate.  Each estimate is a recursively computed residual, which
+    differs from the fresh r - M u by the rounding errors of the recurrence
+    and of forming u: once r - M u reaches that attainable accuracy, the
+    estimate keeps falling while r - M u stalls (Greenbaum, SIAM J. Matrix
+    Anal. Appl. 18, 1997).  So a fresh residual above the threshold before
+    ``max_iter``, whichever way the run ended, starts a correction cycle
+    from u, with r - M u in place of s0 and the same engine, up to
+    ``_CYCLES`` runs in all.  A :class:`NumericalError` is renamed
     ``<tag> at beta=...``.
     """
     try:
@@ -180,29 +185,24 @@ def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):
             return run.finish()
         nx = engine.problem.nx
         cols = sweep_columns(engine)  # (P - M)[:, nx:]
-        u, s = run.u0, run.s0
         for _ in range(_CYCLES):
+            u, s = run.solution, run.fresh
             b = apply_inverse(engine, s)
             e = cols @ b[nx:]  # (P - M) b, the residual of the run's first iterate u + b
-            done = run.add(math.sqrt(e @ e)) and run.confirm(u + b)
-            t = None
-            if not done and run.iterations < run.max_iter:
-                def iterate(t):
-                    return u + apply_inverse(engine, cols @ (engine.lift(t) + b[nx:]) + s)
-
-                t = inner(run, engine, engine.offset(b), iterate)
-            if run.solution is None:  # the last entry is an estimate
-                run.confirm(u + b if t is None else iterate(t))
+            if not run.add(math.sqrt(e @ e)) and run.iterations < run.max_iter:
+                t = inner(run, engine, engine.offset(b))
+                if t is not None:  # the correction of u(t)
+                    b = apply_inverse(engine, cols @ (engine.lift(t) + b[nx:]) + s)
+            run.confirm(u + b)
             if run.converged or run.iterations == run.max_iter:
                 break
-            u, s = run.solution, run.fresh
         return run.finish()
     except NumericalError as exc:
         raise NumericalError(f"{tag} at beta={engine.beta}: {exc}") from exc
 
 
-def _sweep_blocks(run, engine, c, iterate):
-    """ADMM's inner run: the sweeps t_k = CU t_{k-1} + c, in blocks, up to one confirmation.
+def _sweep_blocks(run, engine, c):
+    """ADMM's inner run: the sweeps t_k = CU t_{k-1} + c, in blocks; the t of its last iterate.
 
     The loop carries the differences d_k = t_k - t_{k-1} instead of t:
     d_1 = c and d_{k+1} = CU d_k, which cannot grow since ||CU|| <= 1.
@@ -226,12 +226,7 @@ def _sweep_blocks(run, engine, c, iterate):
     an 80-bit chain (the gemv chain within 1.9e-13).
 
     The run ends at the cap or at the first estimate that meets the
-    threshold, confirmed or not.  The estimate is a recursively computed
-    residual, which differs from the fresh r - M u by the rounding errors of
-    the recurrence and of forming u: once r - M u reaches that attainable
-    accuracy, the estimate keeps falling while r - M u stalls (Greenbaum,
-    SIAM J. Matrix Anal. Appl. 18, 1997).  A correction cycle from the
-    confirmed iterate starts again from its fresh residual.
+    threshold, and :func:`_kernel_solve` confirms it.
     """
     # copies in the layouts BLAS reads fastest: at ny = 140 a gemv by a
     # column-major CU took 4.0 us against 5.1, and a block's product with a
@@ -252,12 +247,8 @@ def _sweep_blocks(run, engine, c, iterate):
         np.matmul(D[:p, :nz], RT, out=E[:p, :nz])
         E[:p, nz:] = D[:p, nz:]
         j = run.extend(np.sqrt(np.einsum("ij,ij->i", E[:p], E[:p])))
-        if j is not None:  # confirmed only now, and the end of the run either way
-            t += D[:j].sum(0)
-            run.confirm(iterate(t))
-            return t
-        if run.iterations == run.max_iter:
-            return t + D[: p - 1].sum(0)
+        if j is not None or run.iterations == run.max_iter:  # entry j, or the block's last
+            return t + D[: p - 1 if j is None else j].sum(0)
         t += D[:p].sum(0)
         if power is not None:
             D = D @ power

@@ -33,8 +33,6 @@ from .precond import make_engine
 from .randgen import GenSpec, random_problem, sample_beta
 from .spectral import classify_and_verify, dtilde_extremes
 
-SCHEMA_VERSION = 1
-
 _METHODS = ("admm", "gmres-left", "gmres-right")
 
 
@@ -95,7 +93,11 @@ def _resolve_beta(problem, text):
         if not (seed.isascii() and seed.isdigit()):
             raise ValueError(f"--beta random:SEED needs a nonnegative integer seed, got {text!r}")
         return sample_beta(int(seed))
-    return check_beta(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"--beta must be a number, auto or random:SEED, got {text!r}") from None
+    return check_beta(value)
 
 
 def _run_method(problem, method, beta, epsilon, max_iter):

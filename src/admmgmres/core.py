@@ -46,15 +46,13 @@ def check_beta(beta):
     """Return the penalty as a float; raise unless beta and 1/beta are finite and positive.
 
     P(beta) holds -(1/beta) I, so a penalty below 1/DBL_MAX is refused here
-    rather than as an overflow deep inside a solve.  A bool is refused too,
-    not read as 0 or 1.
+    rather than as an overflow deep inside a solve.  As in
+    :func:`check_epsilon`, anything but a real number is refused: a bool is
+    not read as 0 or 1, nor a string or an array as the number it holds.
     """
-    try:
-        if isinstance(beta, (bool, np.bool_)):  # float(True) would factor at beta = 1
-            raise TypeError
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise ValueError(f"beta must be a number, got {beta!r}") from None
+    if not isinstance(beta, numbers.Real) or isinstance(beta, bool):
+        raise ValueError(f"beta must be a number, got {beta!r}")
+    beta = float(beta)
     if not (0 < beta < np.inf and 1.0 / beta < np.inf):
         raise ValueError(f"beta must be finite and positive with a finite 1/beta, got {beta}")
     return beta

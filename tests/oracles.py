@@ -100,20 +100,18 @@ def reference_spectrum(K, nz):
     return eigs, float(np.linalg.norm(K, 2)), min(finite) if finite else None
 
 
-def gemv_sweeps(run, engine, c, iterate):
+def gemv_sweeps(run, engine, c):
     """ADMM's inner run sweep by sweep: pass it to ``admm._kernel_solve`` as ``inner``.
 
     One gemv d_{k+1} = CU d_k per sweep from d_1 = c, one ``run.add`` of the
     estimate ||N d_k|| of iterate k + 1, and t_{k-1} = d_1 + ... + d_{k-1}
-    summed as it goes.  The run ends where the blocked run must: at the cap,
-    or at the first estimate that meets the threshold, confirmed.
+    summed as it goes.  The run ends where the blocked run must, at the cap
+    or at the first estimate that meets the threshold, and returns the t of
+    that iterate.
     """
     d, t = c, np.zeros(len(c))  # d_k and t_{k-1}, from k = 1
-    while not run.add(float(np.linalg.norm(engine.N @ d))):
-        if run.iterations == run.max_iter:
-            return t
+    while not run.add(float(np.linalg.norm(engine.N @ d))) and run.iterations < run.max_iter:
         t, d = t + d, engine.CU @ d
-    run.confirm(iterate(t))
     return t
 
 

@@ -111,8 +111,9 @@ class TestEngine:
             for beta in (0.0, -2.0, math.inf, math.nan, 1e-310):
                 with pytest.raises(ValueError, match="beta"):
                     entry(problem42, beta)
-            # float(True) is 1.0: a JSON or keyword slip must not factor at beta = 1
-            for beta in (True, np.True_):
+            # float(True) is 1.0: a JSON or keyword slip must not factor at
+            # beta = 1, nor a string or a 0-d array at the value it holds
+            for beta in (True, np.True_, "1e3", np.array(2.0)):
                 message = rf"^beta must be a number, got {re.escape(repr(beta))}$"
                 with pytest.raises(ValueError, match=message):
                     entry(problem42, beta)
@@ -310,6 +311,25 @@ class TestSolve:
         slack = TOL * (scale * max(map(np.linalg.norm, iterates)) + np.linalg.norm(problem.rhs()))
         oracle = [kkt_residual(problem, u) for u in iterates]
         assert np.all(np.abs(trace.residuals - oracle) <= slack)
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    def test_iterate_one_follows_the_stop_rule_of_a_run(self, problem42, monkeypatch, method):
+        # (P - M) b read as zero makes the estimate of iterate 1 meet the
+        # threshold while its fresh residual does not.  Confirmed above the
+        # threshold, iterate 1 must start a correction cycle, as the last
+        # iterate of an inner run does, and no inner run may start: each
+        # cycle is then one admm_step, and the history its fresh residuals.
+        # Once a failed confirmation of iterate 1 went on to an inner run
+        p = problem42
+        monkeypatch.setattr(admm, "sweep_columns", lambda eng: np.zeros((p.dim, p.nz + p.ny)))
+        monkeypatch.setattr(AdmmEngine, "offset", lambda eng, b: pytest.fail("an inner run began"))
+        trace = solve_from(problem42, method, None)
+        engine, iterates = make_engine(problem42, 1.0), [np.zeros(problem42.dim)]
+        for _ in range(admm._CYCLES):
+            iterates.append(admm_step(engine, iterates[-1]))
+        assert not trace.converged and trace.iterations == admm._CYCLES
+        assert trace.residuals.tolist() == [kkt_residual(problem42, u) for u in iterates]
+        assert np.array_equal(trace.solution, iterates[-1])
 
     @pytest.mark.parametrize("max_iter", [40, 400, 4000])
     def test_stall_at_the_roundoff_floor_ends_the_run(self, monkeypatch, max_iter):

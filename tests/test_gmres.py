@@ -388,6 +388,24 @@ class TestAdmmGmres:
         single = admm_gmres_solve(p, beta, side)
         assert not single.converged and single.iterations == 1 + p.ny
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_estimate_below_a_stalled_residual_starts_a_cycle(self, monkeypatch, side):
+        # kappa 1.4e7 at beta = 100 ell: the estimates fall below the
+        # threshold while the fresh residual stalls above it.  Each estimate
+        # that meets it must end the run and be confirmed once, with a
+        # correction cycle from the fresh residual after a failed
+        # confirmation, so M is applied at most once per run after the
+        # start (seen: 3, the start and two runs).  Once a run confirmed its
+        # iterate at every later step and went on stepping: 8 products with M
+        # on the left side, 9 on the right
+        p = seeded_problem(40, 30, 12, 1.6, 0)
+        _, ell, kappa = dtilde_extremes(p)
+        assert kappa > 1e7
+        matvecs = count_calls(monkeypatch, "kkt_matvec")
+        trace = admm_gmres_solve(p, 100 * ell, side)
+        assert trace.converged
+        assert 3 <= len(matvecs) <= 1 + admm._CYCLES
+
     def test_side_validation(self, problem42):
         with pytest.raises(ValueError, match="side"):
             admm_gmres_solve(problem42, 1.0, "up")
