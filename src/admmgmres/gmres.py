@@ -1,9 +1,12 @@
-"""Full (non-restarted) GMRES on one Arnoldi loop, and the ADMM-preconditioned solver.
+"""Full (non-restarted) GMRES, and the ADMM-preconditioned solver.
 
-:func:`gmres` runs the loop unweighted on an abstract linear operator from
-a zero start; :func:`admm_gmres_solve` runs it on the ADMM iteration in the
-ny-long kernel coordinate of :class:`admmgmres.precond.AdmmEngine`,
-unweighted for the left side and weighted by N for the right.
+:func:`gmres` runs one Arnoldi loop unweighted on an abstract linear
+operator from a zero start; :func:`admm_gmres_solve` runs GMRES on the ADMM
+iteration in the ny-long kernel coordinate of
+:class:`admmgmres.precond.AdmmEngine`, unweighted for the left side and
+weighted by N for the right.  Up to ``_DENSE_NY`` a kernel run builds its
+whole Krylov space by one LAPACK Hessenberg reduction; above it the loop
+steps.
 """
 
 import functools
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgehrd, dgeqrf, dorghr, dormqr, dtrtrs
 
 from .admm import _kernel_solve
 from .core import NumericalError, check_max_iter
@@ -22,6 +25,15 @@ __all__ = ["LinearOperator", "GmresResult", "gmres", "admm_gmres_solve"]
 
 # A new Arnoldi direction below this fraction of its column is a happy breakdown.
 _BREAKDOWN_RTOL = float(100.0 * np.finfo(float).eps)
+
+# Up to this ny a kernel run reduces I - CU whole (:func:`_dense_run`);
+# above it the Arnoldi loop steps.  On one BLAS thread (OpenBLAS 0.3.31,
+# 2-core Xeon) the reduction cost as much as 2-4 loop steps at ny = 7, 3-5
+# at 20, 6-9 at 49, 8-11 at 60 and 9-12 at 64, but 13-22 at 90 and 34-62
+# at 140, where the runs of the benchmark's `large` workload take 11 to 47
+# steps.  The scaling sweep's runs (ny < 60) take 0.94 ny steps in the
+# median, and half of them go to ny.
+_DENSE_NY = 64
 
 
 @dataclass
@@ -91,9 +103,7 @@ class _Arnoldi:
 
     def coefficients(self, k):
         """y of the iterate x_k = V_k y after step k."""
-        R, g = self.H[:k, :k], self.g[:k]
-        y, info = dtrtrs(R, g)
-        return np.linalg.lstsq(R, g, rcond=None)[0] if info > 0 else y  # info > 0: singular R
+        return _solve_upper(self.H[:k, :k], self.g[:k])
 
     def solution(self, k):
         """The iterate x_k after step k."""
@@ -162,6 +172,12 @@ class _Arnoldi:
                 return
 
 
+def _solve_upper(R, g):
+    """y with R y = g for the upper triangle of R, by one dtrtrs; least squares if R is singular."""
+    y, info = dtrtrs(R, g)
+    return np.linalg.lstsq(np.triu(R), g, rcond=None)[0] if info > 0 else y
+
+
 def _orthogonalize(basis, w, coefficients):
     """||w|| after two Gram-Schmidt passes on ``basis``, projections added to ``coefficients``."""
     for _ in range(2):
@@ -212,18 +228,31 @@ def gmres(op, rhs, tol=1e-8, max_iter=None, callback=None):
 def _kernel_run(run, engine, c, side):
     """One GMRES run on (I - CU) t = c from t = 0; the last iterate's t, or None if c = 0.
 
-    Both sides run :class:`_Arnoldi` on v -> v - CU v, the left unweighted
-    and the right weighted by N, and record the same estimate: the true
-    residual norm ||N (c - (I - CU) t)|| = ||W (beta e_1 - Hbar_k y)|| of
-    t = V_k y, for W = N V_{k+1}.  It is the right loop's own residual; the
-    left maps its residual through N, one mat-vec per step.  The run ends
-    after min(ny, iterates left) steps, at the first estimate that meets the
-    threshold, or when the loop's residual vanishes; :func:`_kernel_solve`
-    confirms its last iterate.
+    Both sides record the same estimate of the k-step iterate t = V_k y, for
+    an orthonormal basis V_k of K_k(I - CU, c): the true residual norm
+    ||N (c - (I - CU) t)||.  The left side's y minimizes ||c - (I - CU) t||,
+    and the right side's this norm itself, which is GMRES weighted by N.
+    The run ends after min(ny, iterates left) steps or at the first estimate
+    that meets the threshold, and :func:`_kernel_solve` confirms its last
+    iterate.  Up to ny = ``_DENSE_NY`` the run is :func:`_dense_run`, which
+    builds the whole space at once; above it, :func:`_arnoldi_run` steps.
+    On the same (engine, c) the two stop at the same step, with estimates
+    that differ by roundoff, unless the loop ends in a happy breakdown.
+    """
+    route = _dense_run if len(c) <= _DENSE_NY else _arnoldi_run
+    return route(run, engine, c, side, min(len(c), run.max_iter - run.iterations))
+
+
+def _arnoldi_run(run, engine, c, side, steps):
+    """The run of :func:`_kernel_run` by :class:`_Arnoldi` on v -> v - CU v, up to ``steps`` steps.
+
+    The right loop is weighted by N, so its residual ||W (beta e_1 - Hbar_k y)||
+    for W = N V_{k+1} is the estimate; the left loop maps its residual
+    through N, one mat-vec per step.  A happy breakdown or a vanished loop
+    residual also ends the run.
     """
     CU, N = engine.CU, engine.N
-    krylov = _Arnoldi(lambda v: v - CU @ v, c, min(len(c), run.max_iter - run.iterations),
-                      N if side == "right" else None)
+    krylov = _Arnoldi(lambda v: v - CU @ v, c, steps, N if side == "right" else None)
     k = 0
     for k, res in krylov:
         estimate = res
@@ -235,6 +264,51 @@ def _kernel_run(run, engine, c, side):
     return krylov.solution(k) if k else None
 
 
+def _dense_run(run, engine, c, side, steps):
+    """The run of :func:`_kernel_run` with its whole Krylov space built at once.
+
+    One Hessenberg reduction (LAPACK ``dgehrd`` and ``dorghr``) of the
+    bordered matrix [0 0; c I - CU] gives an orthogonal V and an upper
+    Hessenberg H with (I - CU) V = V H and c = g V e_1, since its first
+    reflector maps c to g e_1.  The first k columns H_k of H then hold step
+    k's Arnoldi relation (I - CU) V_k = V H_k (Householder Arnoldi; Walker,
+    SIAM J. Sci. Stat. Comput. 9, 1988), and the residual of t = V_k y is
+    V (g e_1 - H_k y), of N-norm ||R_W (g e_1 - H_k y)|| for the R factor
+    R_W of N V.  With W = I on the left and R_W on the right, one QR
+    W H = Q R solves every step's least squares: y_k = R_k^{-1} g' Q[0, :k]'
+    for g' = g W[0, 0], with residual g' e_1 - W H_k y_k = g' Q[:, k:] Q[0, k:]'.
+    So the estimate is |g'| ||Q[0, k:]|| on the right and
+    |g| ||N V Q[:, k:] Q[0, k:]'|| on the left, sums of terms without the
+    cancellation of forming g e_1 - H_k y_k; at k = ny it is 0.
+
+    The loop's happy breakdown needs no test: past an invariant K_k the
+    reduction goes on in other directions, over which the least squares
+    can only do better.  A non-finite entry of CU spreads through the whole
+    reduction, so the first estimate is not finite and the record raises.
+    """
+    if not c.any():
+        return None
+    n, N = len(c), engine.N
+    B = np.zeros((n + 1, n + 1), order="F")
+    B[1:, 0], B[1:, 1:] = c, np.eye(n) - engine.CU
+    B, tau = dgehrd(B, overwrite_a=1)[:2]
+    V, H, g = dorghr(B, tau)[0][1:, 1:], np.triu(B[1:, 1:], -1), B[1, 0]
+    if side == "right":
+        W = np.triu(dgeqrf(N @ V)[0])
+        H, g = W @ H, g * W[0, 0]
+    qr, tau = dgeqrf(H)[:2]
+    q = dormqr("L", "T", qr, tau, np.eye(n, 1), 1)[0][:, 0]  # Q[0, :]
+    if side == "right":
+        tails = np.sqrt(np.cumsum((q * q)[::-1])[::-1])  # ||Q[0, k:]||
+    else:
+        VQ = dormqr("R", "N", qr, tau, V, n)[0]
+        E = N @ np.cumsum((VQ * q)[:, ::-1], axis=1)[:, ::-1]  # N V Q[:, k:] Q[0, k:]'
+        tails = np.sqrt(np.einsum("ij,ij->j", E, E))
+    j = run.extend(abs(g) * np.append(tails[1:], 0.0)[:steps])  # steps 1 to n
+    k = steps if j is None else j + 1
+    return V[:, :k] @ _solve_upper(qr[:k, :k], g * q[:k])
+
+
 def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     """GMRES on the ADMM iteration, in the ny-long coordinate of the paper's bounds.
 
@@ -242,17 +316,22 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     ``max_iter`` are checked as in :func:`admmgmres.admm.admm_solve`;
     ``max_iter`` counts every recorded iterate, and None means the
     dimension.  The trace is the record of
-    :class:`~admmgmres.admm.IterationTrace`, and a non-finite value in the
-    Arnoldi loop raises in the same way.
+    :class:`~admmgmres.admm.IterationTrace`, and a non-finite value in a
+    Krylov run raises in the same way.
 
     The solve is that of :func:`~admmgmres.admm.admm_solve`, with one full
     GMRES run on the ny x ny system (I - CU) t = c (:func:`_kernel_run`) in
     place of its sweeps; the k-step iterate of a run is its iterate k + 1,
-    and no step applies P^{-1} or M.  ``side`` picks only the norm.  The
-    left side minimizes ||c - (I - CU) t||, the kernel image of ADMM's own
-    step.  The right side, the same loop weighted by N, minimizes the true
-    residual ||r - M u(t)||; K_k(CU, c) holds ADMM's t_{k-1}, so at every
-    index its residual is at or below the sweep's, up to roundoff.
+    and no step applies P^{-1} or M.  Up to ny = 64 a run builds its whole
+    Krylov space by one Hessenberg reduction of I - CU, at the cost of 2 to
+    12 Arnoldi steps, where runs often take ny steps; above it the Arnoldi
+    loop steps, since the reduction's cost grows as ny^3
+    (``_DENSE_NY`` has the measurements).
+    ``side`` picks only the norm.  The left side minimizes
+    ||c - (I - CU) t||, the kernel image of ADMM's own step.  The right
+    side, the same run weighted by N, minimizes the true residual
+    ||r - M u(t)||; K_k(CU, c) holds ADMM's t_{k-1}, so at every index its
+    residual is at or below the sweep's, up to roundoff.
 
     A run ends at its first estimate that meets the threshold, and the
     shared solve confirms it and, if the fresh residual has stalled above,

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 from admmgmres import admm
 from admmgmres.admm import admm_solve, make_engine
 from admmgmres.core import NumericalError, direct_solve, kkt_residual
-from admmgmres.gmres import GmresResult, LinearOperator, admm_gmres_solve, gmres
+from admmgmres.gmres import (_DENSE_NY, GmresResult, LinearOperator, _arnoldi_run, _dense_run,
+                             admm_gmres_solve, gmres)
 from admmgmres.precond import apply_inverse
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
 from conftest import count_calls, random_dims, seeded_problem
+
+gmres_module = importlib.import_module("admmgmres.gmres")  # the name gmres is the function
 
 
 def matrix_op(M):
@@ -344,7 +348,7 @@ class TestAdmmGmres:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("max_iter", [None, 4], ids=["converged", "capped"])
     def test_one_operator_application_per_step(self, problem42, monkeypatch, side, max_iter):
-        # an Arnoldi step applies only CU and N, and reads its residual in
+        # a GMRES run applies only CU and N, and reads its residuals in
         # the kernel coordinate, so the P^{-1} and M counts do not grow
         # with k: one P^{-1} for b = P^{-1} s0 and one to form the iterate
         # that stops the run, one M for s0 and one for that iterate's fresh
@@ -418,6 +422,99 @@ class TestAdmmGmres:
                 admm_gmres_solve(problem42, 1.0, side, max_iter=bad)
 
 
+def route_runs(p, beta, side, c=None):
+    """The dense route and the Arnoldi loop on the same (engine, c), each from a fresh record.
+
+    The record starts at u0 = 0 with epsilon 1e-6, and ``c`` defaults to the
+    offset of the solve's first correction; each item is (estimates, t, threshold).
+    """
+    engine = make_engine(p, beta)
+    if c is None:
+        c = engine.offset(apply_inverse(engine, p.rhs()))
+    out = []
+    for route in (_dense_run, _arnoldi_run):
+        run = admm._Run(p, None, 1e-6, 1 + p.ny, "route", beta)
+        t = route(run, engine, c, side, p.ny)
+        out.append((np.array(run.residuals[1:]), t, run.threshold))
+    return out
+
+
+class TestDenseRoute:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("beta_of", [lambda m, ell: m / 100, lambda m, ell: math.sqrt(m * ell),
+                                         lambda m, ell: 100 * ell], ids=["m/100", "sqrt", "100ell"])
+    @pytest.mark.parametrize("dims", [(3, 1, 1, 0.5, 1), (6, 4, 2, 0.5, 42), (9, 5, 3, 1.0, 7),
+                                      (12, 7, 7, 1.5, 3), (10, 8, 1, 0.8, 11),
+                                      (19, 4, 4, 1.6, 5), (80, 64, 24, 0.5, 2)],
+                             ids=["3-1-1", "6-4-2", "9-5-3", "12-7-7", "10-8-1", "19-4-4", "80-64-24"])
+    def test_agrees_with_the_arnoldi_loop(self, dims, beta_of, side):
+        # both routes build K_k(I - CU, c) and record ||N (c - (I - CU) t_k)||;
+        # they must stop at the same step with the same estimates.  At
+        # k = ny the dense route records an exact 0 and the loop a roundoff
+        # value, both under the threshold.  3-1-1 has ny = 1, a 2 x 2
+        # bordered matrix with one reflector.  Seen: estimates within
+        # 1.5e-11, t within 1.8e-10
+        p = seeded_problem(*dims)
+        assert p.ny <= _DENSE_NY
+        (dense, t_dense, threshold), (loop, t_loop, _) = route_runs(
+            p, beta_of(*dtilde_extremes(p)[:2]), side)
+        assert len(dense) == len(loop) >= 1
+        k = len(loop) - (len(loop) == p.ny)
+        assert dense[:k] == pytest.approx(loop[:k], rel=1e-8, abs=0)
+        if k < len(loop):
+            assert dense[-1] == 0.0 and loop[-1] <= threshold
+        assert np.linalg.norm(t_dense - t_loop) <= 1e-9 * np.linalg.norm(t_loop)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_offset_records_nothing(self, problem42, side):
+        for estimates, t, _ in route_runs(problem42, 1.0, side, c=np.zeros(problem42.ny)):
+            assert t is None and len(estimates) == 0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("max_iter", [2, 3])
+    def test_cap_inside_the_reduction(self, problem42, side, max_iter):
+        # the reduction holds all ny = 4 steps, but a run records only those
+        # the cap leaves after iterate 1, and the solve then ends unconverged
+        assert admm_gmres_solve(problem42, 1.0, side).iterations > max_iter
+        trace = admm_gmres_solve(problem42, 1.0, side, max_iter=max_iter)
+        assert trace.iterations == max_iter and not trace.converged
+        assert len(trace.residuals) == max_iter + 1
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dims, cause", [
+        ((6, 4, 2, 0.5, 42), "non-finite KKT residual at iteration 2;"),
+        ((75, _DENSE_NY + 1, 8, 0.3, 1), "non-finite Arnoldi entries at iteration 1$")],
+        ids=["dense", "loop"])
+    def test_non_finite_operator_raises(self, monkeypatch, side, bad, dims, cause):
+        # one bad entry of CU spreads through the whole reduction, so the
+        # dense run's first estimate is not finite and the record raises
+        # there; the loop raises on its first step's column
+        def poisoned(problem, beta):
+            engine = make_engine(problem, beta)
+            CU = engine.CU.copy()
+            CU[1, 2] = bad
+            engine.CU = CU
+            return engine
+
+        monkeypatch.setattr(gmres_module, "make_engine", poisoned)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericalError, match=(
+                    rf"^admm-gmres-{side} at beta=1.0: {cause}")):
+                admm_gmres_solve(seeded_problem(*dims), 1.0, side)
+
+    @pytest.mark.parametrize("ny", [_DENSE_NY, _DENSE_NY + 1])
+    def test_kernel_run_picks_its_route_by_ny(self, monkeypatch, ny):
+        taken = []
+        for name in ("_dense_run", "_arnoldi_run"):
+            route = getattr(gmres_module, name)
+            monkeypatch.setattr(gmres_module, name, lambda *args, _route=route, _name=name:
+                                taken.append(_name) or _route(*args))
+        p = seeded_problem(ny + 10, ny, 8, 0.3, ny)
+        assert admm_gmres_solve(p, 1.0, "right").converged
+        assert taken == ["_dense_run" if ny <= _DENSE_NY else "_arnoldi_run"]
+
+
 def krylov_basis(A, c, k):
     """An orthonormal basis of K_k(A, c), by Arnoldi with two full projections per vector."""
     V = c[:, None] / np.linalg.norm(c)
@@ -433,14 +530,15 @@ def krylov_basis(A, c, k):
 @pytest.mark.parametrize("beta_of", [lambda m, ell: m / 100, lambda m, ell: math.sqrt(m * ell),
                                      lambda m, ell: 100 * ell], ids=["m/100", "sqrt", "100ell"])
 @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (9, 5, 3, 1.0, 7), (12, 7, 7, 1.5, 3),
-                                  (10, 8, 1, 0.8, 11), (19, 4, 4, 1.6, 5)],
-                         ids=["6-4-2", "9-5-3", "12-7-7", "10-8-1", "19-4-4"])
+                                  (10, 8, 1, 0.8, 11), (19, 4, 4, 1.6, 5), (80, 70, 20, 0.5, 1)],
+                         ids=["6-4-2", "9-5-3", "12-7-7", "10-8-1", "19-4-4", "80-70-20"])
 def test_recorded_estimates_match_the_dense_least_squares_oracle(dims, beta_of, side):
     # entry k + 1 of a run is the true residual norm ||N (c - (I - CU) V_k y)||
     # of its k-step iterate.  The right side's y minimizes it, so the entry is
     # min ||N c + Z_k y|| for Z_k = N (CU - I) V_k formed densely; the left
     # side's y minimizes ||c - (I - CU) V_k y||.  Only the estimates are
     # compared: the last entry is a fresh residual.  Seen: within 1.4e-9.
+    # 80-70-20 is above the dense route's cutoff, so its runs take the loop.
     p = seeded_problem(*dims)
     beta = beta_of(*dtilde_extremes(p)[:2])
     engine = make_engine(p, beta)
