@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,24 +62,6 @@ def fit_scaling_exponent(kappas, iterations, quantile=0.9):
     if not res.success:
         raise NumericalError(f"quantile regression failed: {res.message}")
     return float(res.x[1] - res.x[3])  # the slope, split into its two nonnegative parts
-
-
-@dataclass
-class RunRecord:
-    """One solver run on one problem; kappa is recomputed, never trusted."""
-
-    problem_id: str
-    nx: int
-    ny: int
-    nz: int
-    s: float
-    seed: int
-    beta: float
-    method_tag: str
-    kappa: float
-    iterations: int
-    converged: bool
-    final_rel_residual: float
 
 
 def _resolve_beta(problem, text):
@@ -174,23 +155,12 @@ def cmd_solve(args):
     beta = _resolve_beta(problem, args.beta)
     trace = _run_method(problem, args.method, beta, args.eps, args.max_iter)
 
-    record = RunRecord(
-        problem_id=Path(args.problem).stem,
-        nx=problem.nx,
-        ny=problem.ny,
-        nz=problem.nz,
-        s=provenance.get("s"),
-        seed=provenance.get("seed"),
-        beta=beta,
-        method_tag=trace.method_tag,
-        kappa=dtilde_extremes(problem)[2],
-        iterations=trace.iterations,
-        converged=trace.converged,
-        final_rel_residual=float(_rel_residuals(trace)[-1]),
-    )
-
+    # the run record; kappa is recomputed from the problem, never read from the file
+    record = dict(problem_id=Path(args.problem).stem, nx=problem.nx, ny=problem.ny,
+                  nz=problem.nz, s=provenance.get("s"), seed=provenance.get("seed"), beta=beta,
+                  method_tag=trace.method_tag, kappa=dtilde_extremes(problem)[2], **_result(trace))
     _write_text(trace_path, _trace_csv(trace))
-    _write_text(record_path, json.dumps(asdict(record), indent=1, sort_keys=True) + "\n")
+    _write_text(record_path, json.dumps(record, indent=1, sort_keys=True) + "\n")
     parts = dict(zip("xzy", (part.tolist() for part in stacked_parts(problem, trace.solution))))
     _write_text(solution_path, json.dumps(parts, indent=1, sort_keys=True) + "\n")
     print(f"{trace.method_tag} beta={beta:.6g} iterations={trace.iterations} "
@@ -217,6 +187,12 @@ def cmd_bounds(args):
     curve = theorem_curve(args.kind, args.k_max, beta, report.m, report.ell, factors, args.eps)
     _emit(args.output, curve_to_csv(curve))
     return 0
+
+
+def _result(trace):
+    """Result fields of a run that returned ``trace``, in ``solve``'s record and a scaling row."""
+    return dict(iterations=trace.iterations, converged=trace.converged,
+                final_rel_residual=float(_rel_residuals(trace)[-1]))
 
 
 def _failed(exc):
@@ -257,8 +233,7 @@ def _scaling_rows(args):
             row = {**base, "method": column, "beta": beta}
             try:
                 trace = _run_method(problem, method, beta, args.eps, args.max_iter)
-                row.update(iterations=trace.iterations, converged=trace.converged,
-                           final_rel_residual=float(_rel_residuals(trace)[-1]), status="ok")
+                row.update(_result(trace), status="ok")
             except (ValueError, NumericalError) as exc:
                 row.update(_failed(exc))
             rows.append(row)
@@ -357,7 +332,7 @@ def main(argv=None):
         # cause from inside the library before the message below.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -15,6 +15,7 @@ Everything in this package is dense and sized for desk-scale experiments
 """
 
 import json
+import math
 import numbers
 import warnings
 
@@ -154,11 +155,13 @@ class SaddleProblem:
             )
         D = 0.5 * (D + D.T)
 
-        for name, block in (("A A'", A), ("B'B", B)):
+        # compared unsquared, so that a block of extreme scale cannot overflow
+        # or underflow the test
+        for name, letter, block in (("A A'", "A", A), ("B'B", "B", B)):
             sv = np.linalg.svd(block, compute_uv=False)
-            if sv[-1] ** 2 <= _SINGULARITY_RTOL * sv[0] ** 2:
-                raise ValueError(f"{name} is numerically singular: smallest singular value "
-                                 f"{sv[-1]**2:.3e} vs largest {sv[0]**2:.3e}")
+            if sv[-1] <= math.sqrt(_SINGULARITY_RTOL) * sv[0]:
+                raise ValueError(f"{name} is numerically singular: {letter} has singular values "
+                                 f"from {sv[-1]:.3e} to {sv[0]:.3e}")
         wd = np.linalg.eigvalsh(D)
         if wd[0] <= _SINGULARITY_RTOL * abs(wd[-1]):
             raise ValueError(

@@ -116,8 +116,6 @@ class _Arnoldi:
 
     def __iter__(self):
         V, H, g, weight = self.V, self.H, self.g, self.weight
-        if self.beta0 == 0.0:
-            return
         cs, sn = [], []
         if weight is not None:  # W = N V_{k+1} = Qw Rw, one column per step
             Qw, Rw = np.zeros((len(weight), self.steps + 1)), np.zeros((self.steps + 1,) * 2)
@@ -239,6 +237,8 @@ def _kernel_run(run, engine, c, side):
     On the same (engine, c) the two stop at the same step, with estimates
     that differ by roundoff, unless the loop ends in a happy breakdown.
     """
+    if not c.any():
+        return None
     route = _dense_run if len(c) <= _DENSE_NY else _arnoldi_run
     return route(run, engine, c, side, min(len(c), run.max_iter - run.iterations))
 
@@ -248,20 +248,18 @@ def _arnoldi_run(run, engine, c, side, steps):
 
     The right loop is weighted by N, so its residual ||W (beta e_1 - Hbar_k y)||
     for W = N V_{k+1} is the estimate; the left loop maps its residual
-    through N, one mat-vec per step.  A happy breakdown or a vanished loop
-    residual also ends the run.
+    through N, one mat-vec per step.  A happy breakdown also ends the run.
     """
     CU, N = engine.CU, engine.N
     krylov = _Arnoldi(lambda v: v - CU @ v, c, steps, N if side == "right" else None)
-    k = 0
     for k, res in krylov:
         estimate = res
         if side == "left":
             e = N @ krylov.residual(k)
             estimate = math.sqrt(e @ e)
-        if run.add(estimate) or res == 0.0:
+        if run.add(estimate):
             break
-    return krylov.solution(k) if k else None
+    return krylov.solution(k)  # k is bound: steps >= 1, and every step yields
 
 
 def _dense_run(run, engine, c, side, steps):
@@ -286,8 +284,6 @@ def _dense_run(run, engine, c, side, steps):
     can only do better.  A non-finite entry of CU spreads through the whole
     reduction, so the first estimate is not finite and the record raises.
     """
-    if not c.any():
-        return None
     n, N = len(c), engine.N
     B = np.zeros((n + 1, n + 1), order="F")
     B[1:, 0], B[1:, 1:] = c, np.eye(n) - engine.CU
@@ -322,11 +318,9 @@ def admm_gmres_solve(problem, beta, side, u0=None, epsilon=1e-6, max_iter=None):
     The solve is that of :func:`~admmgmres.admm.admm_solve`, with one full
     GMRES run on the ny x ny system (I - CU) t = c (:func:`_kernel_run`) in
     place of its sweeps; the k-step iterate of a run is its iterate k + 1,
-    and no step applies P^{-1} or M.  Up to ny = 64 a run builds its whole
-    Krylov space by one Hessenberg reduction of I - CU, at the cost of 2 to
-    12 Arnoldi steps, where runs often take ny steps; above it the Arnoldi
-    loop steps, since the reduction's cost grows as ny^3
-    (``_DENSE_NY`` has the measurements).
+    and no step applies P^{-1} or M.  Up to ny = ``_DENSE_NY`` a run builds
+    its whole Krylov space by one Hessenberg reduction of I - CU; above it
+    the Arnoldi loop steps (the constant's comment has the measured costs).
     ``side`` picks only the norm.  The left side minimizes
     ||c - (I - CU) t||, the kernel image of ADMM's own step.  The right
     side, the same run weighted by N, minimizes the true residual

@@ -55,18 +55,26 @@ _J_SYM_RTOL = 1e-12
 
 
 def _dtilde_eig(problem):
-    """Eigenvalues of the symmetrized A D^{-1} A' (W = D-tilde^{-1})."""
+    """Eigenvalues of the symmetrized A D^{-1} A' (W = D-tilde^{-1}), all finite and positive."""
     A, D = problem.A, problem.D
     L = np.linalg.cholesky(D)
     W = A @ dpotrs(L, A.T, lower=1)[0]  # A D^{-1} A', as in precond.apply_inverse
-    return np.linalg.eigh(0.5 * (W + W.T))[0]
+    if not np.all(np.isfinite(W)):
+        raise NumericalError("A D^-1 A' has a non-finite entry")
+    w = np.linalg.eigh(0.5 * (W + W.T))[0]
+    if not w[0] > 0:
+        raise NumericalError(f"A D^-1 A' is numerically singular: eigenvalues from "
+                             f"{w[0]:.3e} to {w[-1]:.3e}")
+    return w
 
 
 def dtilde_extremes(problem):
     """Extreme eigenvalues (m, ell) and condition number of (A D^{-1} A')^{-1}.
 
     m = 1 / lambda_max(A D^{-1} A'), ell = 1 / lambda_min(A D^{-1} A'),
-    kappa = ell / m.
+    kappa = ell / m.  Raises :class:`NumericalError` if A D^{-1} A' has a
+    non-finite entry or a computed eigenvalue that is not positive, which
+    the block checks of :class:`SaddleProblem` do not rule out.
     """
     w = _piece(problem, "eig", _dtilde_eig)
     m = 1.0 / w[-1]

@@ -23,6 +23,10 @@ from oracles import disk_interval_polynomial, two_interval_polynomial
 
 
 class TestCheb:
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+            cheb(-1, 0.5)
+
     def test_endpoint_identity(self):
         assert all(cheb(k, 1.0) == pytest.approx(1.0, rel=1e-14) for k in range(8))
 
@@ -85,12 +89,19 @@ class TestIntervalBound:
     def test_rejects_interval_containing_one(self):
         with pytest.raises(ValueError, match="contains the point 1"):
             interval_bound(3, 0.9, 0.2)
+        with pytest.raises(ValueError, match="^half-width a must be nonnegative, got -0.1$"):
+            interval_bound(3, 0.4, -0.1)
 
 
 class TestTwoIntervalBound:
     def test_point_clusters_killed_in_one_step(self):
         lower, upper, xi, eta = two_interval_bound(5, 1e-6, 0.0)
         assert upper == 0.0 and lower == 0.0
+
+    def test_split_ratio_needs_disjoint_intervals(self):
+        for a in (0.3, 0.5):
+            with pytest.raises(ValueError, match=f"^need 0 <= a < c, got a={a}, c=0.3$"):
+                two_interval_split_ratio(0.3, a)
 
     def test_split_ratio_floor(self):
         # Chebyshev share of the split stays above 0.317 for every
@@ -205,6 +216,8 @@ class TestRhoFactor:
         assert np.all(np.diff(g) >= -1e-12)
 
     def test_domain_errors(self):
+        with pytest.raises(ValueError, match="^kappa must be at least 1, got 0.5$"):
+            rho_factor(1.0, 0.5)
         with pytest.raises(ValueError):
             rho_factor(2.0, 100.0)  # below sqrt(kappa)
         with pytest.raises(ValueError):
@@ -267,6 +280,9 @@ class TestTheoremCurve:
             theorem_curve("thm9", 5, 3.0 * ell, m, ell, factors, 1e-6)
         with pytest.raises(ValueError, match="kind"):
             theorem_curve("thm8", 5, 1.0, m, ell, factors, 1e-6)
+        with pytest.raises(ValueError, match="^'thm9' needs kappa_X, but none was computable$"):
+            theorem_curve("thm9", 5, math.sqrt(m * ell), m, ell, factors[:2] + (None,) + factors[3:],
+                          1e-6)
 
     @pytest.mark.parametrize("k_max, epsilon, name", [
         (5, 0.0, "epsilon"), (5, -1.0, "epsilon"), (5, 1.0, "epsilon"), (5, 2.0, "epsilon"),

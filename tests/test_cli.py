@@ -284,6 +284,15 @@ class TestSpectrum:
         real = [re for re, _ in report["eigenvalues"]]
         assert real == sorted(real)
 
+    def test_stdout_equals_the_file(self, tmp_path, problem_file, capsys):
+        # without -o the report is printed, byte for byte the -o file
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", str(problem_file), "--beta", "auto"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["spectrum", str(problem_file), "--beta", "auto", "-o", str(out)]) == 0
+        assert printed.encode("utf-8") == out.read_bytes()
+        json.loads(printed)
+
     def test_auto_beta_hits_root_kappa(self, tmp_path, problem_file):
         out = tmp_path / "spec.json"
         assert main(["spectrum", str(problem_file), "--beta", "auto", "-o", str(out)]) == 0
@@ -313,6 +322,15 @@ class TestBounds:
         values = [float(r["value"]) for r in rows]
         assert all(v > 0 for v in values)
         assert all(a >= b for a, b in zip(values[2:], values[3:]))
+
+    @pytest.mark.parametrize("kind", ["prop5", "thm9"])
+    def test_stdout_equals_the_file(self, tmp_path, problem_file, capsys, kind):
+        out = tmp_path / "curve.csv"
+        assert main(["bounds", str(problem_file), "--kind", kind]) == 0
+        printed = capsys.readouterr().out
+        assert main(["bounds", str(problem_file), "--kind", kind, "-o", str(out)]) == 0
+        assert printed.encode("utf-8") == out.read_bytes()
+        assert printed.startswith("k,value,kind\n")
 
     def test_regime_mismatch_exit_code(self, problem_file):
         assert main(["bounds", str(problem_file), "--kind", "thm7",
@@ -391,6 +409,24 @@ class TestScaling:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 cli.fit_scaling_exponent(kappas, counts)
+
+    def test_fit_needs_eight_samples(self):
+        with pytest.raises(ValueError, match="^need at least 8 paired samples$"):
+            cli.fit_scaling_exponent([10.0 * k for k in range(1, 8)], list(range(5, 12)))
+
+    def test_singular_product_draw_gets_failed_rows(self, tmp_path):
+        # draw p0028 (6-6-1, s = 6.57) passes the block checks, but its
+        # A D^-1 A' is numerically singular; it once aborted the whole sweep
+        # with "math domain error"
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--count", "60", "--dim-max", "12", "--s-max", "8",
+                     "--seed", "1", "--max-iter", "2000", "-o", str(out)]) == 0
+        rows = list(csv.DictReader(open(out, encoding="utf-8")))
+        assert len(rows) == 120
+        failed = [row for row in rows if row["status"] == "failed:NumericalError"]
+        assert [row["problem_id"] for row in failed] == ["p0028", "p0028"]
+        assert [row["method"] for row in failed] == ["admm", "admm-gmres-right"]
+        assert all(math.isnan(float(row["kappa"])) for row in failed)
 
     def test_reference_column_present(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -536,3 +572,73 @@ def test_mutated_problem_file_exits_0_2_or_3(mutation):
                         ["bounds", "--kind", "thm9"]):
             rc = main([command[0], str(path), *command[1:], "-o", str(directory / "out")])
             assert rc in (0, 2, 3), command
+
+
+@pytest.fixture
+def singular_product_file(tmp_path):
+    """Draw p0028 of ``scaling --count 60 --dim-max 12 --s-max 8 --seed 1``: A D^-1 A' is
+    numerically singular, although every block passes its check."""
+    path = tmp_path / "r.json"
+    assert main(["gen", "--nx", "6", "--ny", "6", "--nz", "1", "--s", "6.57067615053459",
+                 "--seed", "6927792064287972650", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "PROBLEM"],
+    ["solve", "PROBLEM", "--method", "gmres-left", "--beta", "1"],
+    ["spectrum", "PROBLEM", "--beta", "1"],
+    ["bounds", "PROBLEM", "--kind", "prop5", "--beta", "1"],
+], ids=["solve-auto", "solve-gmres-left", "spectrum", "bounds"])
+def test_singular_product_exits_3_and_writes_nothing(singular_product_file, capsys, argv):
+    # solve (beta auto) and bounds once exited 2 with "math domain error";
+    # solve at beta 1 wrote kappa -5.7e17 and spectrum a report on a negative ell
+    capsys.readouterr()
+    argv = [str(singular_product_file) if arg == "PROBLEM" else arg for arg in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical error: A D^-1 A' is numerically singular: "
+                            "eigenvalues from -5.227e-06 to 2.982e+12\n")
+    assert captured.out == ""
+    assert [path.name for path in singular_product_file.parent.iterdir()] == ["r.json"]
+
+
+@pytest.mark.parametrize("scale, cause", [
+    (1e200, "A D^-1 A' has a non-finite entry"),
+    (1e-300, "A D^-1 A' is numerically singular: eigenvalues from 0.000e+00 to 0.000e+00"),
+])
+def test_extreme_scale_of_a_exits_3_with_the_cause(tmp_path, problem_file, capsys, scale, cause):
+    # the block check squared the singular values, so a well conditioned A
+    # scaled so was refused as "numerically singular: ... inf vs largest inf"
+    # (or 0 vs 0) with exit 2
+    data = json.loads(problem_file.read_text(encoding="utf-8"))
+    data["A"] = [scale * a for a in data["A"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 3
+    assert capsys.readouterr().err == f"numerical error: {cause}\n"
+    assert not list(tmp_path.glob("scaled.admm*"))
+
+
+def test_singular_block_at_ordinary_scale_exits_2(tmp_path, problem_file, capsys):
+    # rows 0 and 1 of A made nearly equal: a singular-value ratio under 1e-6
+    data = json.loads(problem_file.read_text(encoding="utf-8"))
+    nx = data["nx"]
+    data["A"][nx:2 * nx] = [a + 1e-9 for a in data["A"][:nx]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: A A' is numerically singular: A has "
+                                              "singular values from ")
+
+
+def test_linalg_error_exits_3(problem_file, capsys, monkeypatch):
+    # LinAlgError is a ValueError, which exits 2; it is a numerical failure
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "classify_and_verify", fails)
+    assert main(["spectrum", str(problem_file), "--beta", "1"]) == 3
+    assert capsys.readouterr().err == "numerical error: Eigenvalues did not converge\n"

@@ -152,9 +152,41 @@ class TestValidation:
                           np.zeros(2), np.zeros(1), np.zeros(2))
 
     def test_singular_b(self):
-        with pytest.raises(ValueError, match="B'B"):
+        # a zero block is refused, not passed by 0 <= 0 after an underflow
+        with pytest.raises(ValueError, match="^B'B is numerically singular: B has singular "
+                                             r"values from 0\.000e\+00 to 0\.000e\+00$"):
             SaddleProblem(np.eye(2), np.zeros((2, 1)), np.eye(2),
                           np.zeros(2), np.zeros(1), np.zeros(2))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_block_check_at_extreme_scale(self, problem42, scale):
+        # the singular-value ratio is compared unsquared, so a well conditioned
+        # A is kept at any scale; squared, 1e200 overflowed and 1e-300 underflowed
+        p = problem42
+        SaddleProblem(scale * p.A, p.B, p.D, p.r_x, p.r_z, p.r_y)
+        singular = scale * np.vstack((p.A[:3], p.A[:1]))  # two equal rows
+        with pytest.raises(ValueError, match="^A A' is numerically singular: A has singular"):
+            SaddleProblem(singular, p.B, p.D, p.r_x, p.r_z, p.r_y)
+
+    def test_ratio_just_under_the_tolerance_is_refused(self):
+        # the singular-value ratio's edge is 1e-6 at ordinary scale
+        def with_ratio(ratio):
+            return SaddleProblem(np.diag([1.0, ratio]), np.ones((2, 1)), np.eye(2),
+                                 np.zeros(2), np.zeros(1), np.zeros(2))
+
+        with_ratio(1.1e-6)
+        with pytest.raises(ValueError, match="^A A' is numerically singular: A has singular "
+                                             r"values from 9\.000e-07 to 1\.000e\+00$"):
+            with_ratio(0.9e-6)
+
+    @pytest.mark.parametrize("A, B, message", [
+        (np.ones(2), np.ones((2, 1)), "block A must be a matrix, got ndim=1"),
+        (np.ones((2, 0)), np.ones((2, 1)), "block A must be at least 1 x 1, got 2 x 0"),
+        (np.eye(2), np.ones((3, 1)), r"block B must have 2 rows, got shape \(3, 1\)"),
+    ], ids=["1-D A", "0-column A", "B rows"])
+    def test_shape_refusals(self, A, B, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SaddleProblem(A, B, np.eye(2), np.zeros(2), np.zeros(1), np.zeros(2))
 
     def test_indefinite_d(self):
         with pytest.raises(ValueError, match="positive definite"):

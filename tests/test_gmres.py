@@ -10,7 +10,7 @@ from admmgmres import admm
 from admmgmres.admm import admm_solve, make_engine
 from admmgmres.core import NumericalError, direct_solve, kkt_residual
 from admmgmres.gmres import (_DENSE_NY, GmresResult, LinearOperator, _arnoldi_run, _dense_run,
-                             admm_gmres_solve, gmres)
+                             _kernel_run, admm_gmres_solve, gmres)
 from admmgmres.precond import apply_inverse
 from admmgmres.randgen import sample_beta
 from admmgmres.spectral import dtilde_extremes
@@ -173,6 +173,16 @@ class TestGmres:
         op, _ = well_conditioned_op(8, 3)
         with pytest.raises(ValueError, match="max_iter"):
             gmres(op, np.ones(8), max_iter=0)
+
+    def test_rhs_refusals(self):
+        op, _ = well_conditioned_op(8, 3)
+        with pytest.raises(ValueError, match=r"^rhs must have length 8, got shape \(7,\)$"):
+            gmres(op, np.ones(7))
+        for bad in (np.nan, np.inf):
+            rhs = np.ones(8)
+            rhs[3] = bad
+            with pytest.raises(NumericalError, match="^non-finite initial residual in GMRES$"):
+                gmres(op, rhs)
 
     def test_zero_rhs(self):
         op, _ = well_conditioned_op(8, 3)
@@ -422,15 +432,14 @@ class TestAdmmGmres:
                 admm_gmres_solve(problem42, 1.0, side, max_iter=bad)
 
 
-def route_runs(p, beta, side, c=None):
+def route_runs(p, beta, side):
     """The dense route and the Arnoldi loop on the same (engine, c), each from a fresh record.
 
-    The record starts at u0 = 0 with epsilon 1e-6, and ``c`` defaults to the
-    offset of the solve's first correction; each item is (estimates, t, threshold).
+    The record starts at u0 = 0 with epsilon 1e-6, and c is the offset of
+    the solve's first correction; each item is (estimates, t, threshold).
     """
     engine = make_engine(p, beta)
-    if c is None:
-        c = engine.offset(apply_inverse(engine, p.rhs()))
+    c = engine.offset(apply_inverse(engine, p.rhs()))
     out = []
     for route in (_dense_run, _arnoldi_run):
         run = admm._Run(p, None, 1e-6, 1 + p.ny, "route", beta)
@@ -467,8 +476,10 @@ class TestDenseRoute:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_zero_offset_records_nothing(self, problem42, side):
-        for estimates, t, _ in route_runs(problem42, 1.0, side, c=np.zeros(problem42.ny)):
-            assert t is None and len(estimates) == 0
+        # c = 0 returns before either route is chosen
+        run = admm._Run(problem42, None, 1e-6, 1 + problem42.ny, "route", 1.0)
+        t = _kernel_run(run, make_engine(problem42, 1.0), np.zeros(problem42.ny), side)
+        assert t is None and len(run.residuals[1:]) == 0
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("max_iter", [2, 3])

@@ -24,6 +24,10 @@ class TestGenSpec:
             with pytest.raises(ValueError, match="s must be finite"):
                 GenSpec(nx=4, ny=3, nz=2, s=s, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            GenSpec(nx=4, ny=3, nz=2, s=0.5, seed=-1)
+
     def test_provenance_fields(self):
         spec = GenSpec(nx=6, ny=4, nz=2, s=0.5, seed=42)
         assert spec.provenance() == {"nx": 6, "ny": 4, "nz": 2, "s": 0.5, "seed": 42}

@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import admmgmres.spectral as spectral
 from admmgmres.admm import admm_solve, admm_step, make_engine
-from admmgmres.core import SaddleProblem
+from admmgmres.core import NumericalError, SaddleProblem
 from admmgmres.gmres import admm_gmres_solve
 from admmgmres.precond import apply_inverse, sweep_columns
 from admmgmres.spectral import (
@@ -95,6 +95,30 @@ class TestExtremes:
         assert 1.0 / m == pytest.approx(w[-1], rel=1e-10)
         assert 1.0 / ell == pytest.approx(w[0], rel=1e-10)
         assert np.all(w <= 1.0 / m + 1e-10) and np.all(w >= 1.0 / ell - 1e-10)
+
+    def test_numerically_singular_product_raises(self):
+        # draw p0028 of `scaling --count 60 --dim-max 12 --s-max 8 --seed 1`
+        # passes every block check, but its A D^-1 A' has a negative computed
+        # eigenvalue; it once gave ell = -1.9e5 and kappa = -5.7e17
+        p = seeded_problem(6, 6, 1, 6.57067615053459, 6927792064287972650)
+        with pytest.raises(NumericalError, match=r"^A D\^-1 A' is numerically singular: "
+                                                 r"eigenvalues from -5\.227e-06 to 2\.982e\+12$"):
+            dtilde_extremes(p)
+
+    def test_non_finite_product_raises(self, problem42):
+        # A scaled by 1e200 passes the block checks, but A D^-1 A' overflows
+        p = problem42
+        big = SaddleProblem(1e200 * p.A, p.B, p.D, p.r_x, p.r_z, p.r_y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^A D\^-1 A' has a non-finite entry$"):
+                dtilde_extremes(big)
+
+    def test_tiny_positive_eigenvalue_is_accepted(self):
+        # A D^-1 A' = diag(1, 1e-21) exactly: every block passes and so does W
+        p = SaddleProblem(np.diag([1.0, 1e-5]), np.ones((2, 1)), np.diag([1.0, 1e11]),
+                          np.ones(2), np.ones(1), np.ones(2))
+        m, ell, _ = dtilde_extremes(p)
+        assert (m, ell) == pytest.approx((1.0, 1e21), rel=1e-12)
 
 
 class TestIterationMatrix:
