@@ -76,20 +76,32 @@ def admm_step(engine, u):
 class _Run:
     """Checked start, residual record and end of one solve, kept for either solver.
 
-    ``solution`` starts as the stacked (dim,) ``u0``, zeros by default, which
-    is never written to, and ``fresh = r - M u0`` is its residual; each
-    confirmation replaces both.  The record is the one
-    :class:`IterationTrace` describes; at the start a non-finite residual
-    must raise, since eps * max(inf, inf) would otherwise pass at once.
+    ``solution`` starts as the stacked (dim,) ``u0``, zeros by default, and
+    ``fresh = r - M u0`` is its residual; each confirmation replaces both.
+    The record is the one :class:`IterationTrace` describes; at the start a
+    non-finite residual must raise, since eps * max(inf, inf) would
+    otherwise pass at once.
+
+    Norms are ``math.sqrt(w @ w)``, whose square under- or overflows for
+    entries beyond about 2^-511 or 2^511.  So the run works on r, u0 and
+    everything after them times 2^``scale``, the power of two that brings
+    the largest entry of r and of r - M u0 into [1/2, 1), and
+    :meth:`finish` scales the record and the solution back.  Scaling by a
+    power of two is exact, so away from the subnormal range every value
+    keeps its bits; the threshold test compares two scaled values alike.
     """
 
     def __init__(self, problem, u0, epsilon, max_iter, method_tag, beta):
         self.epsilon = check_epsilon(epsilon)
         self.max_iter = check_max_iter(max_iter)
         self.problem, self.method_tag, self.beta = problem, method_tag, beta
-        self.solution = np.zeros(problem.dim) if u0 is None else u0
-        self.r = problem.rhs()
-        self.fresh = self.r - kkt_matvec(problem, self.solution)
+        u = np.zeros(problem.dim) if u0 is None else np.asarray(u0, dtype=float)
+        r = problem.rhs()
+        fresh = r - kkt_matvec(problem, u)
+        # frexp gives exponent 0 for 0, inf and nan, so those keep scale 0
+        self.scale = -math.frexp(float(max(np.abs(r).max(), np.abs(fresh).max())))[1]
+        self.solution, self.r = np.ldexp(u, self.scale), np.ldexp(r, self.scale)
+        self.fresh = np.ldexp(fresh, self.scale)
         self.residuals = []
         self._append(math.sqrt(self.fresh @ self.fresh))
         self.threshold = self.epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
@@ -126,9 +138,10 @@ class _Run:
                 raise NumericalError(
                     f"non-finite initial KKT residual {res}; the starting iterate is not finite"
                 )
+            last = math.ldexp(self.residuals[-1], -self.scale)
             raise NumericalError(
                 f"non-finite KKT residual at iteration {k}; "
-                f"last finite iteration was {k - 1} with residual {self.residuals[-1]:.3e}"
+                f"last finite iteration was {k - 1} with residual {last:.3e}"
             )
         self.residuals.append(res)
 
@@ -141,11 +154,11 @@ class _Run:
         return self.converged
 
     def finish(self):
-        """The trace of the solve; its last entry is the fresh residual of ``solution``."""
-        # copied: after zero iterations the solution is the caller's u0
-        return IterationTrace(np.asarray(self.residuals), self.iterations, self.converged,
-                              self.epsilon, self.method_tag, self.beta,
-                              np.array(self.solution, dtype=float))
+        """The trace of the solve at the scale of r; its last entry is the fresh residual of
+        ``solution``."""
+        return IterationTrace(np.ldexp(self.residuals, -self.scale), self.iterations,
+                              self.converged, self.epsilon, self.method_tag, self.beta,
+                              np.ldexp(self.solution, -self.scale))
 
 
 def _kernel_solve(engine, u0, epsilon, max_iter, tag, inner):

@@ -195,6 +195,26 @@ def apply_inverse(engine, v):
     return np.concatenate([x, z, y])
 
 
+def _apply_inverse_transpose(engine, v):
+    """Compute P(beta)^{-T} v, the transpose of :func:`apply_inverse`; ``v`` may be a block.
+
+    P^{-T} is the backward block solve with the transposed lower factor
+    followed by the transposed augmentation: w3 = -beta v3, then
+    w2 = (B'B)^{-1} (v2 / beta + B' v3) and
+    w1 = (D + beta A'A)^{-1} (v1 - beta A'B w2 - A' w3), each by one
+    ``dpotrs``, and the result is [w1; w2; w3 + beta (A w1 + B w2)].
+    """
+    p, beta = engine.problem, engine.beta
+    A, B = p.A, p.B
+    v1, v2, v3 = stacked_parts(p, v, block=True)
+
+    w3 = -beta * v3
+    w2 = dpotrs(engine.global_factor, v2 / beta + B.T @ v3, lower=1)[0]
+    AB = _piece(p, "A'B", lambda q: q.A.T @ q.B)
+    w1 = dpotrs(engine.local_factor, v1 - beta * (AB @ w2) - A.T @ w3, lower=1)[0]
+    return np.concatenate([w1, w2, w3 + beta * (A @ w1 + B @ w2)])
+
+
 def sweep_columns(engine):
     """The z and y columns (P - M)[:, nx:] of P(beta) - M, built from the blocks.
 

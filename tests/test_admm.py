@@ -12,6 +12,7 @@ from admmgmres.core import (
     SaddleProblem,
     assemble_kkt,
     direct_solve,
+    kkt_matvec,
     kkt_residual,
 )
 from admmgmres.gmres import admm_gmres_solve
@@ -502,6 +503,34 @@ class TestSolve:
                   "last finite iteration was 0",
         ):
             admm_solve(make_engine(problem42, 1e-200))
+
+    @pytest.mark.parametrize("method", ["admm", "left", "right"])
+    @pytest.mark.parametrize("where", ["sqrt", "100ell"])
+    def test_rhs_of_extreme_scale_keeps_the_scale_one_solve(self, method, where):
+        # squared entries near 2^-540 underflow and near 2^500 overflow; on
+        # this problem ADMM and left GMRES once stopped at r x 1e-158 with true
+        # relative residuals 2.4e-5 and 1.2e-5, and at 2^-540 every method
+        # returned the zero iterate as converged after 0 iterations.  Scaling
+        # by a power of two is exact, so the solve keeps every bit
+        p = seeded_problem(100, 70, 20, 0.3, 3)
+        m, ell, _ = dtilde_extremes(p)
+        beta = math.sqrt(m * ell) if where == "sqrt" else 100.0 * ell
+
+        def solve(q):
+            if method == "admm":
+                return admm_solve(make_engine(q, beta))
+            return admm_gmres_solve(q, beta, method)
+
+        ref = solve(p)
+        assert ref.converged
+        for k in (-540, -525, 500):
+            q = SaddleProblem(p.A, p.B, p.D, *(np.ldexp(v, k) for v in (p.r_x, p.r_z, p.r_y)))
+            trace = solve(q)
+            assert (trace.iterations, trace.converged) == (ref.iterations, ref.converged), k
+            res = np.ldexp(q.rhs() - kkt_matvec(q, trace.solution), -k)
+            assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(p.rhs()), k
+            assert np.array_equal(trace.residuals, np.ldexp(ref.residuals, k)), k
+            assert np.array_equal(trace.solution, np.ldexp(ref.solution, k)), k
 
     def test_residual_monitored_on_true_system(self, problem42):
         eng = make_engine(problem42, 0.8)

@@ -436,13 +436,14 @@ def route_runs(p, beta, side):
     """The dense route and the Arnoldi loop on the same (engine, c), each from a fresh record.
 
     The record starts at u0 = 0 with epsilon 1e-6, and c is the offset of
-    the solve's first correction; each item is (estimates, t, threshold).
+    the solve's first correction, at the record's scale; each item is
+    (estimates, t, threshold).
     """
     engine = make_engine(p, beta)
-    c = engine.offset(apply_inverse(engine, p.rhs()))
     out = []
     for route in (_dense_run, _arnoldi_run):
         run = admm._Run(p, None, 1e-6, 1 + p.ny, "route", beta)
+        c = engine.offset(apply_inverse(engine, run.fresh))
         t = route(run, engine, c, side, p.ny)
         out.append((np.array(run.residuals[1:]), t, run.threshold))
     return out

@@ -456,6 +456,101 @@ class TestConditioningFactors:
             conditioning_factors(p, 1.0)
 
 
+PENALTIES = {"1e-6m": lambda m, ell: 1e-6 * m, "m/100": lambda m, ell: m / 100.0,
+             "sqrt": lambda m, ell: math.sqrt(m * ell), "100ell": lambda m, ell: 100.0 * ell,
+             "1e6ell": lambda m, ell: 1e6 * ell}
+
+
+class TestOperatorFactors:
+    """kappa_P, ||G||_2 and kappa_M from operator products and ``eigvalsh``, not dense SVDs."""
+
+    @pytest.mark.parametrize("where", list(PENALTIES))
+    @pytest.mark.parametrize("dims", [(12, 8, 4, 0.5, 1), (9, 6, 6, 1.5, 5)], ids=["24", "21"])
+    def test_kappa_p_against_40_digit_singular_values(self, dims, where):
+        # at 1e-6 m (kappa_P 1.8e14 and 2.6e18) the dense cond(P) was 2.1e-3
+        # and 0.44 off, and this route 2.2e-16 and 2.1e-16; at 1e6 ell both
+        # routes hold eps kappa_P
+        import mpmath
+
+        p = seeded_problem(*dims)
+        beta = PENALTIES[where](*dtilde_extremes(p)[:2])
+        P = spectral.assemble_precond(make_engine(p, beta))
+        with mpmath.workdps(40):
+            sv = mpmath.svd_r(mpmath.matrix(P.tolist()), compute_uv=False)
+            exact = float(max(sv) / min(sv))
+        error = abs(classify_and_verify(p, beta).kappa_P - exact) / exact
+        assert error <= np.finfo(float).eps * exact
+        if where == "1e-6m":
+            assert error <= 1e-12
+
+    @pytest.mark.parametrize("where", ["m/3", "sqrt", "3ell"])
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (30, 20, 8, 0.8, 3), (1, 1, 1, 0.5, 2)],
+                             ids=["6-4-2", "30-20-8", "1-1-1"])
+    def test_g_norm_and_kappa_m_match_the_dense_routes(self, dims, where):
+        # 1-1-1 has dim 3, the smallest P that ARPACK takes, and a G of two
+        # columns, whose G'G goes to eigvalsh
+        p = seeded_problem(*dims)
+        m, ell, _ = dtilde_extremes(p)
+        beta = {"m/3": m / 3.0, "sqrt": math.sqrt(m * ell), "3ell": 3.0 * ell}[where]
+        G = build_iteration_matrix(p, beta)[:, p.nx:]
+        g_norm = math.sqrt(spectral._lambda_max(lambda v: G.T @ (G @ v), G.shape[1]))
+        assert g_norm == pytest.approx(np.linalg.norm(G, 2), rel=1e-12, abs=0)
+        kappa_m = classify_and_verify(p, beta).kappa_M
+        assert kappa_m == pytest.approx(np.linalg.cond(spectral.assemble_kkt(p), 2), rel=1e-12)
+        P = spectral.assemble_precond(make_engine(p, beta))
+        assert classify_and_verify(p, beta).kappa_P == pytest.approx(np.linalg.cond(P, 2),
+                                                                     rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (9, 6, 6, 1.5, 5), (1, 1, 1, 0.5, 2)],
+                             ids=["6-4-2", "9-6-6", "1-1-1"])
+    def test_transposed_solve_is_the_transposed_inverse(self, dims):
+        p = seeded_problem(*dims)
+        for beta in (0.05, 1.0, 20.0):
+            engine = make_engine(p, beta)
+            P = spectral.assemble_precond(engine)
+            inv_t = np.linalg.inv(P).T
+            block = spectral._apply_inverse_transpose(engine, np.eye(p.dim))
+            tol = 1e3 * np.finfo(float).eps * np.linalg.cond(P, 2)
+            assert np.linalg.norm(block - inv_t) <= tol * np.linalg.norm(inv_t)
+            v = np.random.default_rng(1).standard_normal(p.dim)
+            assert np.array_equal(spectral._apply_inverse_transpose(engine, v),
+                                  spectral._apply_inverse_transpose(engine, v[:, None])[:, 0])
+
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (12, 12, 12, 0.0, 2)],
+                             ids=["6-4-2", "square-spread-0"])
+    def test_same_bits_on_two_calls(self, dims):
+        # on the square problem of spread 0 the Krylov space of P'P from the
+        # ones vector turns invariant at beta = 1, and that of P^-1 P^-T at
+        # beta = 3, so ARPACK goes on from a random vector
+        p = seeded_problem(*dims)
+        for beta in (1.0, 3.0):
+            first, second = classify_and_verify(p, beta), classify_and_verify(fresh_copy(p), beta)
+            assert (first.c1, first.kappa_P, first.kappa_M) == (second.c1, second.kappa_P,
+                                                                 second.kappa_M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_a_product_that_is_not_finite_gives_inf(self, n):
+        def apply(v):
+            w = np.array(v, dtype=float)
+            w[0] = np.inf
+            return w
+
+        assert spectral._lambda_max(apply, n) == np.inf
+        assert spectral._lambda_max(lambda v: 2.0 * v, n) == pytest.approx(2.0, rel=1e-13)
+
+    def test_report_takes_no_dense_svd_of_p_g_or_m(self, monkeypatch):
+        # the nz x nz SVD of B's factor and the ny x ny cond(X) candidates stay
+        p = seeded_problem(30, 20, 8, 0.8, 3)
+        shapes = []
+        for name in ("svd", "cond", "norm"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _original=original, **kwargs:
+                                shapes.append(np.shape(a)) or _original(a, *args, **kwargs))
+        classify_and_verify(p, 1.0)
+        assert shapes and all(p.dim not in shape and p.ny + p.nz not in shape
+                              for shape in shapes), shapes
+
+
 def engine_bytes(p, beta):
     """The bytes of both engine factors and of the sweep columns at ``beta``."""
     engine = make_engine(p, beta)
