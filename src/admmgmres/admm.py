@@ -83,12 +83,14 @@ class _Run:
     otherwise pass at once.
 
     Norms are ``math.sqrt(w @ w)``, whose square under- or overflows for
-    entries beyond about 2^-511 or 2^511.  So the run works on r, u0 and
-    everything after them times 2^``scale``, the power of two that brings
-    the largest entry of r and of r - M u0 into [1/2, 1), and
-    :meth:`finish` scales the record and the solution back.  Scaling by a
-    power of two is exact, so away from the subnormal range every value
-    keeps its bits; the threshold test compares two scaled values alike.
+    entries beyond about 2^-511 or 2^511.  The squares a run must resolve
+    span s = max(|r|^2, |r - M u0|^2) down to eps^2 s; when that span
+    leaves [2^-900, 2^900], the run works on r, u0 and everything after
+    them times 2^``scale``, the power of two that brings the largest entry
+    of r and of r - M u0 into [1/2, 1), and :meth:`finish` scales the
+    record and the solution back.  Scaling by a power of two is exact, so
+    away from the subnormal range every value keeps its bits; the
+    threshold test compares two scaled values alike.
     """
 
     def __init__(self, problem, u0, epsilon, max_iter, method_tag, beta):
@@ -98,13 +100,18 @@ class _Run:
         u = np.zeros(problem.dim) if u0 is None else np.asarray(u0, dtype=float)
         r = problem.rhs()
         fresh = r - kkt_matvec(problem, u)
-        # frexp gives exponent 0 for 0, inf and nan, so those keep scale 0
-        self.scale = -math.frexp(float(max(np.abs(r).max(), np.abs(fresh).max())))[1]
-        self.solution, self.r = np.ldexp(u, self.scale), np.ldexp(r, self.scale)
-        self.fresh = np.ldexp(fresh, self.scale)
+        rr, ff = r @ r, fresh @ fresh
+        self.scale = 0
+        # also taken for a square that is nan
+        if not (2.0**-900 <= self.epsilon**2 * max(rr, ff) and max(rr, ff) <= 2.0**900):
+            # frexp gives exponent 0 for 0, inf and nan, so those keep scale 0
+            self.scale = -math.frexp(float(max(np.abs(r).max(), np.abs(fresh).max())))[1]
+            u, r, fresh = (np.ldexp(a, self.scale) for a in (u, r, fresh))
+            rr, ff = r @ r, fresh @ fresh
+        self.solution, self.r, self.fresh = u, r, fresh
         self.residuals = []
-        self._append(math.sqrt(self.fresh @ self.fresh))
-        self.threshold = self.epsilon * max(self.residuals[0], float(np.linalg.norm(self.r)))
+        self._append(math.sqrt(ff))
+        self.threshold = self.epsilon * max(self.residuals[0], math.sqrt(rr))
 
     @property
     def iterations(self):

@@ -21,15 +21,14 @@ explicit constructions are guarded to total dimension 400 by
 :func:`admmgmres.precond.check_dense`.
 """
 
-import functools
-import inspect
 import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.blas import dnrm2
+from scipy.linalg.lapack import dpotrs, dstebz, dstein
 
 from .core import NumericalError, assemble_kkt
 from .precond import (_apply_inverse_transpose, _piece, apply_inverse, assemble_precond,
@@ -53,6 +52,9 @@ _IM_RTOL = 1e-8
 # Absolute slack for enclosure membership; interval endpoints suffer
 # subtractive cancellation at large condition numbers.
 _ENCLOSURE_SLACK = 1e-7
+
+# Lanczos stops when the top Ritz pair's residual is below this times its Ritz value.
+_LANCZOS_TOL = 1e-13
 
 # Eigenvector matrices conditioned worse than this count as numerically singular.
 _EIGVEC_CUTOFF = 1e12
@@ -277,47 +279,62 @@ def _enclosure_ok(eigs, regime, gamma, kappa, k_norm, nz, ny):
     return bool(ok)
 
 
-class _NonFinite(Exception):
-    """A product of the operator handed to :func:`_lambda_max` is not finite."""
-
-
 def _lambda_max(apply, n):
     """The largest eigenvalue of the symmetric positive semidefinite operator ``apply`` of order n.
 
-    Lanczos (ARPACK ``eigsh``) from the fixed start vector of ones, to
-    relative accuracy 1e-13, so two calls give the same bits; ARPACK needs
-    n > k = 1, so for n <= 2 the operator applied to I goes to ``eigvalsh``.
-    A product that is not finite ends the iteration with inf.
+    Lanczos with full reorthogonalization from the vector of ones, stopped
+    when the residual of the top Ritz pair is within 1e-13 of its Ritz
+    value (ARPACK's test).  A Krylov space that turns invariant holds exact
+    eigenvalues, but maybe not the largest, so Lanczos goes on in a new
+    block of the tridiagonal from a normal vector drawn with the block's
+    first index as seed, made orthogonal to the basis; after n steps the
+    basis is complete.  No step draws on state kept between calls, so two
+    calls give the same bits, whatever the numpy and scipy.  A product that
+    is not finite ends the iteration with inf.
     """
-    def matvec(v):
-        w = apply(v)
+    basis = np.empty((n, n))
+    diag, off = np.empty(n), np.empty(n)
+    q = np.full(n, 1.0 / math.sqrt(n))
+    top = 0.0  # the largest eigenvalue of the invariant blocks already left
+    first = 0
+    for k in range(n):
+        basis[k] = q
+        w = apply(q)
         if not np.isfinite(w).all():
-            raise _NonFinite
-        return w
-
-    try:
-        if n <= 2:
-            return float(np.linalg.eigvalsh(matvec(np.eye(n)))[-1])
-        LinearOperator, eigsh, seeded = _arpack()
-        op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        return float(eigsh(op, k=1, which="LM", v0=np.ones(n), tol=1e-13,
-                           return_eigenvectors=False, **seeded)[0])
-    except _NonFinite:
-        return np.inf
-
-
-@functools.cache
-def _arpack():
-    """``LinearOperator``, ``eigsh`` and the keywords that seed its restarts, imported on first use.
-
-    The import adds 2.9 MB to a process, so only reports pay for it.  A
-    Krylov space that turns invariant before ncv steps goes on from a random
-    vector, seeded where ``eigsh`` takes a generator; the ARPACK of older
-    scipy draws it from state that persists between calls.
-    """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    return LinearOperator, eigsh, {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
+            return np.inf
+        V = basis[:k + 1]
+        h = V @ w
+        w -= h @ V
+        w -= (V @ w) @ V
+        b = dnrm2(w)  # scaled: w @ w underflows on a tiny operator
+        if k == first:
+            # dstebz squares the off-diagonal, so each block of the
+            # tridiagonal is stored times the power of two 2**x that brings
+            # its first column near norm 1
+            x = -math.frexp(abs(h[-1]) + b)[1]
+            theta, s = h[-1], 1.0
+        diag[k], off[k] = math.ldexp(h[-1], x), math.ldexp(b, x)
+        if k > first:
+            d, e = diag[first:k + 1], off[first:k]
+            # range 2 selects by index, as in scipy's own eigh_tridiagonal
+            _, ritz, iblock, isplit, _ = dstebz(d, e, 2, 0.0, 0.0, k + 1 - first, k + 1 - first,
+                                                0.0, "E")
+            theta = math.ldexp(ritz[0], -x)
+            s = dstein(d, e, ritz[:1], iblock, isplit)[0][-1, 0]
+        scale = max(theta, top)
+        if b <= _LANCZOS_TOL * scale:
+            top, first = scale, k + 1
+            if first == n:
+                break
+            q = np.random.default_rng(first).standard_normal(n)
+            for _ in range(2):
+                q -= (basis[:k + 1] @ q) @ basis[:k + 1]
+            q /= dnrm2(q)
+            continue
+        if b * abs(s) <= _LANCZOS_TOL * scale:
+            break
+        q = w / b
+    return float(max(theta, top))
 
 
 def _kkt_condition(problem):
@@ -343,7 +360,7 @@ def classify_and_verify(problem, beta):
     on products: G and the assembled P by gemv, P^{-1} and P^{-T} by the
     engine's factors.  Against 40-digit values kappa_P is within
     eps kappa_P; at 1e-6 m, where a dense cond(P) was 2.1e-3 and 0.44 off
-    (kappa_P 1.8e14 and 2.6e18), it was within 2.2e-16.  kappa_M is
+    (kappa_P 1.8e14 and 2.6e18), it was within 2.1e-15.  kappa_M is
     max |lambda| / min |lambda| over the eigenvalues of M, once per
     problem.  A factor with a product that is not finite is inf.  Guarded
     to total dimension 400.

@@ -468,7 +468,7 @@ class TestOperatorFactors:
     @pytest.mark.parametrize("dims", [(12, 8, 4, 0.5, 1), (9, 6, 6, 1.5, 5)], ids=["24", "21"])
     def test_kappa_p_against_40_digit_singular_values(self, dims, where):
         # at 1e-6 m (kappa_P 1.8e14 and 2.6e18) the dense cond(P) was 2.1e-3
-        # and 0.44 off, and this route 2.2e-16 and 2.1e-16; at 1e6 ell both
+        # and 0.44 off, and this route 2.1e-15 and 6.0e-16; at 1e6 ell both
         # routes hold eps kappa_P
         import mpmath
 
@@ -487,8 +487,8 @@ class TestOperatorFactors:
     @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (30, 20, 8, 0.8, 3), (1, 1, 1, 0.5, 2)],
                              ids=["6-4-2", "30-20-8", "1-1-1"])
     def test_g_norm_and_kappa_m_match_the_dense_routes(self, dims, where):
-        # 1-1-1 has dim 3, the smallest P that ARPACK takes, and a G of two
-        # columns, whose G'G goes to eigvalsh
+        # 1-1-1 has dim 3 and a G of two columns, so Lanczos there runs to a
+        # complete basis
         p = seeded_problem(*dims)
         m, ell, _ = dtilde_extremes(p)
         beta = {"m/3": m / 3.0, "sqrt": math.sqrt(m * ell), "3ell": 3.0 * ell}[where]
@@ -521,12 +521,32 @@ class TestOperatorFactors:
     def test_same_bits_on_two_calls(self, dims):
         # on the square problem of spread 0 the Krylov space of P'P from the
         # ones vector turns invariant at beta = 1, and that of P^-1 P^-T at
-        # beta = 3, so ARPACK goes on from a random vector
+        # beta = 3, so Lanczos goes on from a drawn vector
         p = seeded_problem(*dims)
         for beta in (1.0, 3.0):
             first, second = classify_and_verify(p, beta), classify_and_verify(fresh_copy(p), beta)
             assert (first.c1, first.kappa_P, first.kappa_M) == (second.c1, second.kappa_P,
                                                                  second.kappa_M)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_an_invariant_start_space_goes_on_to_the_largest_eigenvalue(self, n):
+        # I + 2 u u' with u orthogonal to the ones vector: the Krylov space of
+        # the start vector is the eigenspace of 1, and 3 lies outside it
+        u = np.zeros(n)
+        u[:2] = [1.0, -1.0]
+        u /= math.sqrt(2.0)
+        apply = lambda v: v + 2.0 * u * (u @ v)  # noqa: E731
+        assert np.array_equal(apply(np.ones(n)), np.ones(n))
+        first = spectral._lambda_max(apply, n)
+        assert first == pytest.approx(3.0, rel=1e-13)
+        assert first == spectral._lambda_max(apply, n)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 1e-170, 1e150, 1e300])
+    def test_a_tiny_or_huge_operator_keeps_its_largest_eigenvalue(self, scale):
+        # w @ w and dstebz's squared off-diagonal leave the range of doubles here
+        d = np.linspace(1.0, 5.0, 30)
+        assert spectral._lambda_max(lambda v: scale * d * v, 30) / scale == pytest.approx(
+            5.0, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_a_product_that_is_not_finite_gives_inf(self, n):
