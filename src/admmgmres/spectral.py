@@ -215,7 +215,9 @@ class SpectralReport:
     every computed eigenvalue lies in the advertised region for that
     regime; for beta outside [m, ell] the eigenvalues are exactly real and
     ascending.  ``kappa_X`` is None when no acceptably conditioned eigenvector
-    matrix was found.
+    matrix was found.  Far outside [m, ell] it holds only about 8 digits: at
+    1e-6 m and 1e6 ell the eigenvalues of K cluster within about 1e-7, and
+    every route, ``eig``'s included, was up to 1.6e-8 off 40-digit values.
     """
 
     m: float
@@ -282,21 +284,21 @@ def _enclosure_ok(eigs, regime, gamma, kappa, k_norm, nz, ny):
 def _lambda_max(apply, n):
     """The largest eigenvalue of the symmetric positive semidefinite operator ``apply`` of order n.
 
-    Lanczos with full reorthogonalization from the vector of ones, stopped
-    when the residual of the top Ritz pair is within 1e-13 of its Ritz
-    value (ARPACK's test).  A Krylov space that turns invariant holds exact
-    eigenvalues, but maybe not the largest, so Lanczos goes on in a new
-    block of the tridiagonal from a normal vector drawn with the block's
-    first index as seed, made orthogonal to the basis; after n steps the
-    basis is complete.  No step draws on state kept between calls, so two
-    calls give the same bits, whatever the numpy and scipy.  A product that
-    is not finite ends the iteration with inf.
+    Lanczos with full reorthogonalization, stopped when the residual of the
+    top Ritz pair is within 1e-13 of its Ritz value (ARPACK's test).  The
+    start is one fixed normal vector, drawn from PCG64 with seed 0: it has a
+    component along every eigenvector, so a Krylov space that turns
+    invariant already holds the largest eigenvalue, and its zero residual
+    ends the loop (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13,
+    1992).  A start orthogonal, or nearly so, to the top eigenspace would
+    miss it or find it late, as would any fixed start.  No step draws on
+    state kept between calls, so two calls give the same bits.  A product
+    that is not finite ends the iteration with inf.
     """
     basis = np.empty((n, n))
     diag, off = np.empty(n), np.empty(n)
-    q = np.full(n, 1.0 / math.sqrt(n))
-    top = 0.0  # the largest eigenvalue of the invariant blocks already left
-    first = 0
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= dnrm2(q)
     for k in range(n):
         basis[k] = q
         w = apply(q)
@@ -307,34 +309,23 @@ def _lambda_max(apply, n):
         w -= h @ V
         w -= (V @ w) @ V
         b = dnrm2(w)  # scaled: w @ w underflows on a tiny operator
-        if k == first:
-            # dstebz squares the off-diagonal, so each block of the
-            # tridiagonal is stored times the power of two 2**x that brings
-            # its first column near norm 1
-            x = -math.frexp(abs(h[-1]) + b)[1]
-            theta, s = h[-1], 1.0
+        if k == 0:
+            # dstebz squares the off-diagonal, so the tridiagonal is stored
+            # times the power of two 2**x that brings its first column near
+            # norm 1
+            x = -math.frexp(abs(h[0]) + b)[1]
+            theta, s = h[0], 1.0
         diag[k], off[k] = math.ldexp(h[-1], x), math.ldexp(b, x)
-        if k > first:
-            d, e = diag[first:k + 1], off[first:k]
+        if k:
+            d, e = diag[:k + 1], off[:k]
             # range 2 selects by index, as in scipy's own eigh_tridiagonal
-            _, ritz, iblock, isplit, _ = dstebz(d, e, 2, 0.0, 0.0, k + 1 - first, k + 1 - first,
-                                                0.0, "E")
+            _, ritz, iblock, isplit, _ = dstebz(d, e, 2, 0.0, 0.0, k + 1, k + 1, 0.0, "E")
             theta = math.ldexp(ritz[0], -x)
             s = dstein(d, e, ritz[:1], iblock, isplit)[0][-1, 0]
-        scale = max(theta, top)
-        if b <= _LANCZOS_TOL * scale:
-            top, first = scale, k + 1
-            if first == n:
-                break
-            q = np.random.default_rng(first).standard_normal(n)
-            for _ in range(2):
-                q -= (basis[:k + 1] @ q) @ basis[:k + 1]
-            q /= dnrm2(q)
-            continue
-        if b * abs(s) <= _LANCZOS_TOL * scale:
+        if b * abs(s) <= _LANCZOS_TOL * theta:
             break
         q = w / b
-    return float(max(theta, top))
+    return float(theta)
 
 
 def _kkt_condition(problem):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from admmgmres.core import (
+    NumericalError,
     SaddleProblem,
     assemble_kkt,
     direct_solve,
@@ -110,6 +111,20 @@ class TestDirectSolve:
         u = direct_solve(problem42)
         res = kkt_residual(problem42, u)
         assert res <= 1e-10 * np.linalg.norm(problem42.rhs())
+
+    def test_numerically_singular_kkt_is_refused_with_residual_and_condition(self):
+        # draw p0028 of `scaling --count 60 --dim-max 12 --s-max 8 --seed 1`:
+        # every block passes SaddleProblem's checks, but the refined residual
+        # is about 9e-8, some 900 times the 1e-10 bound
+        p = seeded_problem(6, 6, 1, 6.57067615053459, 6927792064287972650)
+        with pytest.raises(NumericalError) as info:
+            direct_solve(p)
+        message = str(info.value)
+        assert message.startswith("KKT matrix is numerically singular: direct-solve residual ")
+        residual = float(re.search(r"residual (\S+),", message).group(1))
+        condition = float(re.search(r"condition estimate (\S+)$", message).group(1))
+        assert 1e-10 * max(1.0, np.linalg.norm(p.rhs())) < residual < 1e-6
+        assert condition > 1e9
 
     def test_constrained_minimum(self, problem42):
         # the solution minimizes the quadratic objective over the feasible set

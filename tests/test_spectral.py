@@ -484,11 +484,14 @@ class TestOperatorFactors:
             assert error <= 1e-12
 
     @pytest.mark.parametrize("where", ["m/3", "sqrt", "3ell"])
-    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (30, 20, 8, 0.8, 3), (1, 1, 1, 0.5, 2)],
-                             ids=["6-4-2", "30-20-8", "1-1-1"])
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (30, 20, 8, 0.8, 3), (1, 1, 1, 0.5, 2),
+                                      (12, 12, 12, 0.0, 2)],
+                             ids=["6-4-2", "30-20-8", "1-1-1", "square-spread-0"])
     def test_g_norm_and_kappa_m_match_the_dense_routes(self, dims, where):
         # 1-1-1 has dim 3 and a G of two columns, so Lanczos there runs to a
-        # complete basis
+        # complete basis; on the square problem of spread 0, P'P and
+        # P^-1 P^-T have three distinct eigenvalues, so Lanczos ends at the
+        # third of 36 steps, on an invariant space
         p = seeded_problem(*dims)
         m, ell, _ = dtilde_extremes(p)
         beta = {"m/3": m / 3.0, "sqrt": math.sqrt(m * ell), "3ell": 3.0 * ell}[where]
@@ -519,9 +522,9 @@ class TestOperatorFactors:
     @pytest.mark.parametrize("dims", [(6, 4, 2, 0.5, 42), (12, 12, 12, 0.0, 2)],
                              ids=["6-4-2", "square-spread-0"])
     def test_same_bits_on_two_calls(self, dims):
-        # on the square problem of spread 0 the Krylov space of P'P from the
-        # ones vector turns invariant at beta = 1, and that of P^-1 P^-T at
-        # beta = 3, so Lanczos goes on from a drawn vector
+        # on the square problem of spread 0 the Krylov spaces of P'P and
+        # P^-1 P^-T turn invariant at the third step, and the residual test
+        # ends Lanczos there
         p = seeded_problem(*dims)
         for beta in (1.0, 3.0):
             first, second = classify_and_verify(p, beta), classify_and_verify(fresh_copy(p), beta)
@@ -531,7 +534,8 @@ class TestOperatorFactors:
     @pytest.mark.parametrize("n", [2, 3, 10, 40])
     def test_an_invariant_start_space_goes_on_to_the_largest_eigenvalue(self, n):
         # I + 2 u u' with u orthogonal to the ones vector: the Krylov space of
-        # the start vector is the eigenspace of 1, and 3 lies outside it
+        # the ones vector would be the eigenspace of 1, with 3 outside it; the
+        # normal start has a component along u
         u = np.zeros(n)
         u[:2] = [1.0, -1.0]
         u /= math.sqrt(2.0)
